@@ -183,6 +183,30 @@ class Alg:
         while self.rat is None and self._hi - self._lo >= width:
             self.refine()
 
+    def canonical_interval(self, min_bits):
+        """Dyadic cell [k/2^N, (k+1)/2^N] holding this irrational value.
+
+        N is the least integer >= min_bits at which the cell holds no other
+        root of the minimal polynomial.  The cell depends only on the value,
+        not on how far it happens to have been refined, and is chosen by the
+        exact sign of the minimal polynomial at the grid point.
+        """
+        bits = min_bits
+        while True:
+            scale = 1 << bits
+            self.refine_below(Fraction(1, scale))
+            # width < 2^-bits, so at most the grid point above k/2^bits
+            # lies inside (lo, hi)
+            k = math.floor(self._lo * scale)
+            grid = Fraction(k + 1, scale)
+            if grid < self._hi and \
+                    (self.minpoly(grid) > 0) == (self.minpoly(self._lo) > 0):
+                k += 1
+            lo, hi = Fraction(k, scale), Fraction(k + 1, scale)
+            if self.minpoly.count_roots(lo, hi, self._sturm()) == 1:
+                return Interval(lo, hi)
+            bits += 1
+
     def sign(self):
         if self.rat is not None:
             return (self.rat > 0) - (self.rat < 0)

@@ -3,12 +3,15 @@
 Every numeric value is serialized exactly: rationals as ``{"rat": "a/b"}``
 and irrational algebraic numbers as minimal polynomial plus isolating
 interval, with a 30-digit decimal rendering that is display-only.  The
+interval is the cell of a fixed dyadic grid that holds the root, so it
+does not depend on how far the computation happened to refine the value.  The
 report is byte-deterministic for a given input: isometries are already
 canonically sorted by the recovery stage, object keys are sorted on
 serialization, and nothing time- or host-dependent is embedded.
 """
 
 import json
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,6 +23,8 @@ from .errors import PreconditionViolation
 _APPROX_DIGITS = 30
 # isolation width that pins down 30 decimal digits with room to spare
 _APPROX_WIDTH = Fraction(1, 10 ** (_APPROX_DIGITS + 5))
+# coarsest dyadic grid whose cells are no wider than _APPROX_WIDTH (117)
+_GRID_BITS = (math.ceil(1 / _APPROX_WIDTH) - 1).bit_length()
 
 
 def encode_value(v):
@@ -28,8 +33,7 @@ def encode_value(v):
         if v.rat is not None:
             v = v.rat
         else:
-            v.refine_below(_APPROX_WIDTH)
-            iv = v.interval()
+            iv = v.canonical_interval(_GRID_BITS)
             return {
                 "minpoly": v.minpoly.render("x"),
                 "interval": [_frac_str(iv.lo), _frac_str(iv.hi)],

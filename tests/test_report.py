@@ -35,6 +35,19 @@ def test_encode_value_algebraic():
     assert len(enc["approx"].replace("0.", "")) == 30
 
 
+def test_encode_value_is_independent_of_refinement_depth():
+    shallow = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    deep = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    deep.refine_below(Fraction(1, 1 << 200))
+    assert shallow.interval().lo != deep.interval().lo
+    enc = encode_value(shallow)
+    assert json.dumps(enc) == json.dumps(encode_value(deep))
+    lo, hi = (Fraction(s) for s in enc["interval"])
+    assert hi - lo == Fraction(1, 1 << 117)
+    assert (lo * (1 << 117)).denominator == 1
+    assert lo * lo < Fraction(3, 4) < hi * hi
+
+
 def test_encode_ratfunc_display():
     r = parse_ratfunc("-(t^8 + 1)/t")
     enc = encode_ratfunc(r)
