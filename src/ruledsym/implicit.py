@@ -368,7 +368,7 @@ def detect_revolution_axis(cone):
     equations = [project(e, ("u1", "u2", "u3", "c2")) for e in equations]
     try:
         points = solve_zero_dim(equations, ("u1", "u2", "u3", "c2"))
-    except Exception:
+    except PositiveDimensional:
         return []
     axes = []
     for point in points:

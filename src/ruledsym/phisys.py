@@ -261,7 +261,9 @@ def scale_factors(system, point):
     else:
         m_alpha = _eval_unipoly_alg(system.norm_square, alpha)
         big_k = ensure_alg(system.norm_square.lead()) / m_alpha
-        assert big_k.sign() > 0
+        if big_k.sign() <= 0:
+            raise PreconditionViolation(
+                "the squared direction norm is not positive at alpha")
         k = alg_sqrt(big_k)
     return k, -k
 

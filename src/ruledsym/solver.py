@@ -1,36 +1,40 @@
 """Exact solving of the zero-dimensional systems produced by the method.
 
-The strategy is projection by iterated subresultant elimination.  Chain
-members are polynomial combinations of their two inputs, so every
-projection polynomial vanishes on all common zeros of the system: a
-nonzero univariate obtained this way is a certified superset description
-of one coordinate.  Candidate points are assembled from per-coordinate
-root sets and validated exactly against every original equation, which
-removes the spurious combinations that projection methods inevitably
-produce.
+Each system costs at most two lex Groebner bases (sympy, over the
+rationals).  The first, with the first core unknown ordered last, gives
+that unknown's eliminant; its irreducible factors without real roots are
+dropped, since no real solution lives over them.  Dropping them removes the
+positive-dimensional *complex* components that occur on the degenerate
+locus of the fractional-linear map whenever the system is built from a
+norm-square with nonreal roots.
 
-Positive-dimensional *complex* components with no real points (they occur
-on the degenerate locus of the fractional-linear map whenever the system
-is built from a norm-square with nonreal roots) would make naive
-elimination collapse to zero for the later coordinates.  The fix used
-here: after the first coordinate's projection polynomial is computed, its
-irreducible factors without real roots are discarded -- no real solution
-can live over them -- and the remaining factors are adjoined to the
-system one at a time.  Each augmented system has finitely many complex
-points over the factor's roots, so elimination for the remaining
-coordinates succeeds.
+The second basis adjoins the product of the remaining factors and, when
+the caller names a polynomial that must not vanish, the Rabinowitsch
+equation u * nonzero - 1, which saturates the ideal by that polynomial
+(Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4).  The
+parameter-map solve passes the determinant of the map, which removes the
+degenerate components over real roots as well.  That basis must be
+zero-dimensional, otherwise PositiveDimensional is raised.  The other
+unknowns' eliminants are read from it as minimal polynomials of
+multiplication in the finite-dimensional quotient ring, not from one lex
+basis per unknown.
+
+Every eliminant vanishes on all common zeros of the system, so candidate
+points are assembled from per-coordinate real roots and validated exactly
+against every original equation, which removes the spurious combinations.
 
 Equations may also involve trailing unknowns that appear at most linearly
 (the translation part of an isometry does); those are solved per
 candidate point by exact linear algebra over the algebraic numbers.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
 
 from .algnum import ensure_alg, evaluate_certified, isolate_real_roots
-from .errors import PositiveDimensional
+from .errors import PositiveDimensional, PreconditionViolation
 from .mpoly import MultiPoly
 from .linalg import gauss_solve
 from .phisys import candidate_from_point, scale_factors
@@ -68,16 +72,8 @@ def _clean(equations):
     return eqs
 
 
-def _cover(eqs, var, eliminate_vars):
-    """Generator of the elimination ideal in var alone, or None.
-
-    Computed from a lex Groebner basis with var ordered last, so the
-    result is exact: it vanishes precisely on the closure of the system's
-    projection onto the var axis.  None means that projection is not
-    finite (the ideal meets the ring of the single variable trivially).
-    """
-    order = [_sym(w) for w in eliminate_vars] + [_sym(var)]
-    basis = sympy.groebner([_to_expr(e) for e in eqs], *order, order="lex")
+def _univariate(basis, var):
+    """Generator of the basis's ideal intersected with Q[var], or None."""
     target = _sym(var)
     collapsed = UniPoly()
     for g in basis.exprs:
@@ -89,6 +85,19 @@ def _cover(eqs, var, eliminate_vars):
     if collapsed.is_zero():
         return None
     return collapsed
+
+
+def _cover(eqs, var, eliminate_vars):
+    """Generator of the elimination ideal in var alone, or None.
+
+    Computed from a lex Groebner basis with var ordered last, so the
+    result is exact: it vanishes precisely on the closure of the system's
+    projection onto the var axis.  None means that projection is not
+    finite (the ideal meets the ring of the single variable trivially).
+    """
+    order = [_sym(w) for w in eliminate_vars] + [_sym(var)]
+    basis = sympy.groebner([_to_expr(e) for e in eqs], *order, order="lex")
+    return _univariate(basis, var)
 
 
 def _real_rooted_factors(p):
@@ -104,29 +113,76 @@ def _real_rooted_factors(p):
     return out
 
 
-def _solve_core(eqs, order, all_unknowns, space):
-    if not order:
+def _minimal_polynomial(basis, var):
+    """Generator of a zero-dimensional ideal intersected with Q[var].
+
+    The normal forms of 1, var, var^2, ... modulo the Groebner basis live
+    in the finite-dimensional quotient ring; the first power whose normal
+    form depends linearly on the earlier ones gives the monic minimal
+    polynomial of multiplication by var, whose roots are exactly the var
+    coordinates of the ideal's complex points.
+    """
+    ring, *gens = sympy.polys.rings.ring(basis.gens, sympy.QQ,
+                                         sympy.polys.orderings.lex)
+    divisors = [ring.from_dict(p.as_dict()) for p in basis.polys]
+    x = gens[basis.gens.index(_sym(var))]
+    forms = [ring.one.rem(divisors)]
+    while True:
+        nxt = (forms[-1] * x).rem(divisors)
+        monomials = set(nxt.keys()).union(*(f.keys() for f in forms))
+        rows = [[_fraction(f.get(m, 0)) for f in forms] for m in monomials]
+        solved = gauss_solve(rows, [-_fraction(nxt.get(m, 0))
+                                    for m in monomials])
+        if solved is not None:
+            return UniPoly(list(solved[0]) + [Fraction(1)])
+        forms.append(nxt)
+
+
+def _fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _solve_core(eqs, core, unknowns, nonzero):
+    """Candidate points of the core unknowns, one per real-root combination.
+
+    The cover and the saturated basis described in the module docstring;
+    the u of the Rabinowitsch equation is ordered just before the first
+    core unknown, which keeps the lex basis cheap.
+    """
+    if not core:
         return [{}]
-    v = order[0]
-    elim = tuple(u for u in all_unknowns if u != v)
-    cover = _cover(eqs, v, elim)
+    v = core[0]
+    others = tuple(w for w in unknowns if w != v)
+    cover = _cover(eqs, v, others)
     if cover is None:
         raise PositiveDimensional(
             "no finite projection for unknown %r" % v, variable=v)
-    if cover.degree() == 0:
+    factors = _real_rooted_factors(cover)
+    if not factors:
         return []
-    points = []
-    for fac in _real_rooted_factors(cover):
-        roots = isolate_real_roots(fac)
-        if not roots:
-            continue
-        augmented = eqs + [MultiPoly.from_unipoly(space, v, fac)]
-        for sub in _solve_core(augmented, order[1:], all_unknowns, space):
-            for r in roots:
-                point = dict(sub)
-                point[v] = r
-                points.append(point)
-    return points
+    real_part = UniPoly([Fraction(1)])
+    for f in factors:
+        real_part = real_part * f
+    space = eqs[0].vars
+    gens = [_to_expr(e) for e in eqs]
+    gens.append(_to_expr(MultiPoly.from_unipoly(space, v, real_part)))
+    order = [_sym(w) for w in others]
+    if nonzero is not None:
+        u = sympy.Dummy("u")
+        gens.append(u * _to_expr(nonzero) - 1)
+        order.append(u)
+    order.append(_sym(v))
+    basis = sympy.groebner(gens, *order, order="lex")
+    if basis.exprs == [1]:
+        return []
+    if not basis.is_zero_dimensional:
+        raise PositiveDimensional(
+            "the system over the real roots of %r is not finite" % v,
+            variable=v)
+    roots = [isolate_real_roots(_univariate(basis, v))]
+    for w in core[1:]:
+        roots.append(isolate_real_roots(_minimal_polynomial(basis, w)))
+    return [dict(zip(core, combo)) for combo in itertools.product(*roots)]
 
 
 def _linear_substitutions(eqs, preferred):
@@ -172,14 +228,16 @@ def _linear_substitutions(eqs, preferred):
     return eqs, subs
 
 
-def solve_zero_dim(equations, vars, linear_tail=()):
+def solve_zero_dim(equations, vars, linear_tail=(), nonzero=None):
     """All real solutions of a polynomial system with finitely many.
 
-    vars are solved by projection and real-root isolation; linear_tail
-    unknowns must occur at most linearly (jointly) and are solved per
-    point by exact elimination.  Returns a list of dicts mapping every
-    unknown to an algebraic number.  Raises PositiveDimensional when the
-    system cannot be certified finite along some coordinate.
+    vars are solved through one saturated lex Groebner basis and real-root
+    isolation; linear_tail unknowns must occur at most linearly (jointly)
+    and are solved per point by exact elimination.  nonzero, a polynomial
+    in the same variables, saturates the system: components on which it
+    vanishes identically are discarded before finiteness is required.
+    Returns a list of dicts mapping every unknown to an algebraic number.
+    Raises PositiveDimensional when the system cannot be certified finite.
     """
     vars = tuple(vars)
     tail = tuple(linear_tail)
@@ -191,17 +249,23 @@ def solve_zero_dim(equations, vars, linear_tail=()):
         if vars or tail:
             raise PositiveDimensional("no constraints on the unknowns")
         return [{}]
-    space = eqs[0].vars
     eqs, subs = _linear_substitutions(eqs, tail + tuple(reversed(vars)))
     eqs2 = _clean(eqs)
     if eqs2 is None:
         return []
     eqs = eqs2
+    if nonzero is not None:
+        for name, expr in subs.items():
+            nonzero = nonzero.substitute_poly(name, expr)
+        if nonzero.is_zero():
+            return []
+        if nonzero.is_constant():
+            nonzero = None
     core = tuple(v for v in vars if v not in subs)
     tail_rem = tuple(v for v in tail if v not in subs)
     unknowns = core + tail_rem
     if eqs:
-        core_points = _solve_core(eqs, core, unknowns, space)
+        core_points = _solve_core(eqs, core, unknowns, nonzero)
     else:
         if unknowns:
             raise PositiveDimensional("all constraints eliminated")
@@ -252,7 +316,9 @@ def _solve_tail(eqs, core_point, tail_vars):
         const = Fraction(0)
         for exp, c in res.terms.items():
             tail_deg = sum(exp[i] for i in idx)
-            assert tail_deg <= 1, "tail unknowns are not linear"
+            if tail_deg > 1:
+                raise PreconditionViolation(
+                    "tail unknowns %s are not linear" % (tail_vars,))
             if tail_deg == 0:
                 const = const + c
             else:
@@ -288,6 +354,15 @@ def _dedupe_points(points, names):
     return kept
 
 
+def _determinant(system):
+    """alpha*delta - beta*gamma over the system's unknowns."""
+    alpha = MultiPoly.var(system.vars, "alpha")
+    if system.gamma == 0:
+        return alpha
+    return alpha * MultiPoly.var(system.vars, "delta") \
+        - MultiPoly.var(system.vars, "beta")
+
+
 def solve_parameter_maps(surface, systems):
     """Validated parameter-map candidates (both branches, both signs of k).
 
@@ -299,7 +374,8 @@ def solve_parameter_maps(surface, systems):
     """
     candidates = []
     for system in systems:
-        points = solve_zero_dim(system.class_equations, system.unknowns())
+        points = solve_zero_dim(system.class_equations, system.unknowns(),
+                                nonzero=_determinant(system))
         for point in points:
             alpha = ensure_alg(point["alpha"])
             if system.gamma == 0:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ruledsym import implicit as implicit_module
 from ruledsym.errors import HeuristicFailure, PreconditionViolation, ZeroInput
 from ruledsym.implicit import (
     ImplicitSurface,
@@ -184,3 +185,13 @@ def test_detect_revolution_axis_exact():
 def test_nonrevolution_cone_has_no_axis():
     cone = parametrize_highest_form(highest_form(implicit(EXAMPLE)))
     assert detect_revolution_axis(cone) == []
+
+
+def test_axis_detection_propagates_solver_faults(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(implicit_module, "solve_zero_dim", broken)
+    cone = parametrize_highest_form(mp("x*y + x*z + y*z"))
+    with pytest.raises(RuntimeError):
+        detect_revolution_axis(cone)

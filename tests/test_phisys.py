@@ -2,8 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+
 from ruledsym.algnum import Alg, alg_sqrt
+from ruledsym.errors import PreconditionViolation
 from ruledsym.phisys import (
+    GENERAL_VARS,
+    ReparamSystem,
     build_affine_system,
     build_general_system,
     build_systems,
@@ -98,6 +103,15 @@ def test_scale_factors_general(golden):
     ks = scale_factors(system, {"alpha": Fraction(1), "beta": Fraction(1),
                                 "delta": Fraction(-1)})
     assert sorted(ks, key=float) == [Fraction(-1, 8), Fraction(1, 8)]
+
+
+def test_scale_factors_reject_a_nonpositive_norm():
+    # M(t) = t^2 - 1 is negative at alpha = 0, so K = lead/M(0) = -1
+    system = ReparamSystem(1, GENERAL_VARS[1:], [], [], [],
+                           UniPoly([-1, 0, 1]), 1)
+    with pytest.raises(PreconditionViolation):
+        scale_factors(system, {"alpha": Fraction(0), "beta": Fraction(1),
+                               "delta": Fraction(0)})
 
 
 def test_scale_factors_irrational_square_root():

@@ -3,11 +3,16 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ruledsym.algnum import Alg, alg_sqrt
-from ruledsym.errors import PositiveDimensional
+from ruledsym.errors import PositiveDimensional, PreconditionViolation
 from ruledsym.mpoly import MultiPoly
-from ruledsym.phisys import build_affine_system, build_general_system
+from ruledsym.phisys import (
+    build_affine_system,
+    build_general_system,
+    build_systems,
+)
 from ruledsym.solver import solve_parameter_maps, solve_zero_dim
 
 from conftest import build_surface
@@ -72,6 +77,19 @@ def test_positive_dimensional_detected():
         solve_zero_dim([a, b], v)
 
 
+def test_nonzero_saturates_away_a_component():
+    # x*y = x*(x-1) = 0 is the line x = 0 plus the point (1, 0); saturating
+    # by x removes the line
+    v = ("x", "y")
+    eqs = [_mp(v, lambda s: s["x"] * s["y"]),
+           _mp(v, lambda s: s["x"] * (s["x"] - 1))]
+    pts = solve_zero_dim(eqs, v, nonzero=_mp(v, lambda s: s["x"]))
+    got = {(p["x"].as_fraction(), p["y"].as_fraction()) for p in pts}
+    assert got == {(Fraction(1), Fraction(0))}
+    with pytest.raises(PositiveDimensional):
+        solve_zero_dim(eqs, v)
+
+
 def test_degenerate_complex_component_is_harmless():
     # (x^2+1)=0 carries positive-dimensional *complex* components; the
     # real solutions are still finite and must all be found
@@ -125,6 +143,14 @@ def test_linear_tail_underdetermined_raises():
         solve_zero_dim(eqs, ("x",), linear_tail=("b1", "b2"))
 
 
+def test_nonlinear_tail_is_an_explicit_error():
+    v = ("x", "b")
+    eqs = [_mp(v, lambda s: s["x"] ** 2 - 1),
+           _mp(v, lambda s: s["b"] * s["b"] - s["x"])]
+    with pytest.raises(PreconditionViolation):
+        solve_zero_dim(eqs, ("x",), linear_tail=("b",))
+
+
 def test_irrational_coordinates_validated():
     v = ("x", "y")
     eqs = [
@@ -167,3 +193,27 @@ def test_golden_general_parameter_maps(golden):
     for c in cands:
         expect = Fraction(1, 8) if c.alpha != 0 else Fraction(1)
         assert abs(c.k.as_fraction()) == expect
+
+
+def test_x2_general_branch_maps(monkeypatch):
+    surface = build_surface("x2")
+    calls = []
+    groebner = sympy.groebner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return groebner(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "groebner", counted)
+    cands = solve_parameter_maps(surface, build_systems(surface))
+    # two bases per branch: the cover and the saturated basis
+    assert len(calls) <= 4
+    root = alg_sqrt(Alg.rational(Fraction(1, 3)))
+    expected = [(a, b, -a * b) for a in (root, -root)
+                for b in (Fraction(1), Fraction(-1))]
+    maps = []
+    for c in cands:
+        m = (c.alpha, c.beta, c.delta)
+        if c.gamma == 1 and m not in maps:
+            maps.append(m)
+    assert len(maps) == 4 and all(m in expected for m in maps)
