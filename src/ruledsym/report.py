@@ -3,8 +3,8 @@
 Every numeric value is serialized exactly: rationals as ``{"rat": "a/b"}``
 and irrational algebraic numbers as minimal polynomial plus isolating
 interval, with a 30-digit decimal rendering that is display-only.  The
-interval is the cell of a fixed dyadic grid that holds the root, so it
-does not depend on how far the computation happened to refine the value.  The
+interval is the cell of a fixed dyadic grid that holds the root, so it does
+not depend on how far the computation happened to refine the value.  The
 report is byte-deterministic for a given input: isometries are already
 canonically sorted by the recovery stage, object keys are sorted on
 serialization, and nothing time- or host-dependent is embedded.
