@@ -37,7 +37,8 @@ class Interval:
     def __init__(self, lo, hi):
         lo = Fraction(lo) if isinstance(lo, int) else lo
         hi = Fraction(hi) if isinstance(hi, int) else hi
-        assert lo <= hi
+        if lo > hi:
+            raise PreconditionViolation("empty interval [%s, %s]" % (lo, hi))
         self.lo = lo
         self.hi = hi
 
@@ -130,7 +131,10 @@ class Alg:
             self.minpoly = None
             self._lo = self._hi = None
         else:
-            assert minpoly is not None and minpoly.degree() >= 2
+            if minpoly is None or minpoly.degree() < 2:
+                raise PreconditionViolation(
+                    "an irrational value needs a minimal polynomial of "
+                    "degree at least two")
             self.rat = None
             self.minpoly = minpoly
             self._lo = lo
@@ -172,8 +176,11 @@ class Alg:
         if self.rat is not None:
             return
         mid = (self._lo + self._hi) / 2
-        v = self.minpoly(mid)
-        assert v != 0  # irreducible of degree >= 2 has no rational roots
+        if self.minpoly(mid) == 0:
+            # an irreducible polynomial of degree >= 2 has no rational root
+            raise PreconditionViolation(
+                "the minimal polynomial %s vanishes at %s"
+                % (self.minpoly.render("x"), mid))
         if self.minpoly.count_roots(self._lo, mid, self._sturm()) == 1:
             self._hi = mid
         else:
@@ -525,32 +532,6 @@ def alg_sqrt(x):
     return _select_root(doubled, target, (x,), extra_refine=bump)
 
 
-def algebraic_root(poly, lo, hi):
-    """The unique root of poly in the open interval (lo, hi)."""
-    if poly.is_zero():
-        raise ZeroInput("root of the zero polynomial")
-    hits = []
-    for f, _ in factor_rational(poly)[1]:
-        if f.degree() == 1:
-            r = -f.coeff(0)
-            if lo < r < hi:
-                hits.append(Alg.rational(r))
-        else:
-            if f(lo) == 0 or f(hi) == 0:
-                raise PreconditionViolation("interval endpoint is a root")
-            seq = f.sturm_sequence()
-            c = f.count_roots(lo, hi, seq)
-            if c > 1:
-                raise PreconditionViolation("interval does not isolate a root")
-            if c == 1:
-                hits.append(Alg._make(f, lo, hi))
-    if len(hits) != 1:
-        raise PreconditionViolation(
-            "interval contains %d roots, expected exactly one" % len(hits)
-        )
-    return hits[0]
-
-
 def isolate_real_roots(p):
     """All distinct real roots of a rational univariate polynomial, sorted."""
     if p.is_zero():
@@ -577,17 +558,6 @@ def isolate_real_roots(p):
             stack.append((mid, b))
     roots.sort()
     return roots
-
-
-def vanishes_at(p, x):
-    """Exact test p(x) == 0 for a rational-coefficient univariate polynomial."""
-    x = ensure_alg(x)
-    if x.rat is not None:
-        return p(x.rat) == 0
-    if p.degree() < x.minpoly.degree():
-        return p.is_zero()
-    _, rem = p.divmod(x.minpoly)
-    return rem.is_zero()
 
 
 DEFAULT_BUDGET_BITS = 200

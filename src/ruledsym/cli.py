@@ -150,12 +150,13 @@ def run(argv=None):
             parser.error("--samples values must be at least 2")
         mesh_plan = (t_range, s_range, counts)
 
-    if args.precision_bits is not None:
-        if args.precision_bits < 1:
-            parser.error("--precision-bits must be positive")
-        algnum.set_default_budget(args.precision_bits)
+    if args.precision_bits is not None and args.precision_bits < 1:
+        parser.error("--precision-bits must be positive")
 
+    saved_budget = algnum.DEFAULT_BUDGET_BITS
     try:
+        if args.precision_bits is not None:
+            algnum.set_default_budget(args.precision_bits)
         if args.mode == "implicit":
             if args.poly is not None:
                 text = args.poly
@@ -189,6 +190,8 @@ def run(argv=None):
     except OSError as exc:
         sys.stderr.write("ruledsym: %s\n" % exc)
         return _PARSE_EXIT
+    finally:
+        algnum.set_default_budget(saved_budget)
     return 0
 
 

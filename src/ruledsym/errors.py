@@ -65,12 +65,6 @@ class PrecisionBudgetExceeded(SymmetryError):
     code = "PRECISION_BUDGET"
 
 
-class Inconsistent(SymmetryError):
-    """A linear system arising during recovery has no solution."""
-
-    code = "INCONSISTENT"
-
-
 class NotAnIsometry(SymmetryError):
     """A matrix that should be orthogonal is not."""
 

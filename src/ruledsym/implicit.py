@@ -407,8 +407,9 @@ def implicit_pipeline(surface, plane=None):
             "linearly solvable; supply a parametrization another way")
     section_check = form.eval(
         {"x": cone.q[0], "y": cone.q[1], "z": cone.q[2]})
-    assert section_check.is_zero(), \
-        "conical parametrization does not satisfy the highest-order form"
+    if not section_check.is_zero():
+        raise PreconditionViolation(
+            "conical parametrization does not satisfy the highest-order form")
     notes = [{
         "code": "HIGHEST_FORM_METHOD",
         "message": "symmetries are lifted from the cone of the "

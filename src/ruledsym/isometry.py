@@ -34,8 +34,7 @@ from .linalg import (
     trace,
 )
 from .mpoly import MultiPoly
-from .phisys import ReparamCandidate, _compose_affine, _compose_homogenized, \
-    _plain, build_systems
+from .phisys import ReparamCandidate, _plain, build_systems, psi_parts
 from .ratfunc import RatFunc, homogenized_eval
 from .solver import solve_parameter_maps, solve_zero_dim
 from .upoly import UniPoly, poly_lcm
@@ -67,9 +66,6 @@ class Isometry:
         return (all(a == b for ra, rb in zip(self.Q, other.Q)
                     for a, b in zip(ra, rb))
                 and all(a == b for a, b in zip(self.b, other.b)))
-
-    def is_identity(self):
-        return self.kind == "identity"
 
     def is_involution(self):
         """Whether applying the motion twice gives the identity."""
@@ -252,7 +248,8 @@ def recover_ruling_shift(surface, candidate, q, b):
     g_polys, w_poly, hq = _translation_blocks(surface, candidate, q)
     full = [g_polys[i] + w_poly * b[i] for i in range(3)]
     pivot = next((i for i in range(3) if not surface.q[i].is_zero()), None)
-    assert pivot is not None
+    if pivot is None:
+        raise PreconditionViolation("the direction curve is identically zero")
     for j in range(3):
         if j != pivot and full[j] * hq[pivot] != full[pivot] * hq[j]:
             return None
@@ -330,7 +327,9 @@ def _rotation_axis(q, sign):
         for i in range(3)
     )
     solved = gauss_solve([list(r) for r in shifted], [_ZERO, _ZERO, _ZERO])
-    assert solved is not None
+    if solved is None:
+        raise PreconditionViolation(
+            "the homogeneous system for the rotation axis is inconsistent")
     _, kernel = solved
     if len(kernel) != 1:
         return None
@@ -578,18 +577,12 @@ def _linear_direction_symmetries(surface):
 def _linear_direction_equations(surface, gamma, eps, u, v, normal, frame_inv,
                                 d_poly, n_polys, m):
     vars = _LINEAR_VARS
-    alpha = MultiPoly.var(vars, "alpha")
-    beta = MultiPoly.var(vars, "beta")
-    delta = MultiPoly.var(vars, "delta")
+    alpha, beta, gamma_poly, delta = psi_parts(vars, gamma)
     k = MultiPoly.var(vars, "k")
-    if gamma == 0:
-        img_u = [k * (u[i] + beta * v[i]) for i in range(3)]
-        img_v = [k * alpha * v[i] for i in range(3)]
-        scale_det = k * k * alpha
-    else:
-        img_u = [k * (delta * u[i] + beta * v[i]) for i in range(3)]
-        img_v = [k * (u[i] + alpha * v[i]) for i in range(3)]
-        scale_det = k * k * (alpha * delta - beta)
+    # q(psi) (gamma t + delta) = (delta u + beta v) + t (gamma u + alpha v)
+    img_u = [k * (delta * u[i] + beta * v[i]) for i in range(3)]
+    img_v = [k * (gamma_poly * u[i] + alpha * v[i]) for i in range(3)]
+    scale_det = k * k * (alpha * delta - beta * gamma_poly)
     img_n = [scale_det * (eps * normal[i]) for i in range(3)]
     q_sym = [
         [
@@ -608,22 +601,15 @@ def _linear_direction_equations(surface, gamma, eps, u, v, normal, frame_inv,
             eqs.append(acc - (1 if a == bb else 0))
     # base-curve pair conditions with the ruling shift eliminated
     t_var = MultiPoly.var(vars, "t")
-    if gamma == 0:
-        den_lin = MultiPoly.const(vars, Fraction(1))
-    else:
-        den_lin = t_var + delta
     num_lin = alpha * t_var + beta
+    den_lin = gamma_poly * t_var + delta
     hq = [
         MultiPoly.const(vars, u[i]) * den_lin
         + MultiPoly.const(vars, v[i]) * num_lin
         for i in range(3)
     ]
-    if gamma == 0:
-        hd = _compose_affine(d_poly, vars)
-        hn = [_compose_affine(nu, vars) for nu in n_polys]
-    else:
-        hd = _compose_homogenized(d_poly, vars, m)
-        hn = [_compose_homogenized(nu, vars, m) for nu in n_polys]
+    hd = homogenized_eval(d_poly, num_lin, den_lin, m)
+    hn = [homogenized_eval(nu, num_lin, den_lin, m) for nu in n_polys]
     d_t = MultiPoly.from_unipoly(vars, "t", d_poly)
     n_t = [MultiPoly.from_unipoly(vars, "t", nu) for nu in n_polys]
     w_poly = d_t * hd

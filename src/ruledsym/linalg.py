@@ -31,10 +31,6 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def identity3():
     return (
         (_ONE, _ZERO, _ZERO),
@@ -67,14 +63,6 @@ def mat_inv3(m):
         for i in range(3)
     )
     return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
-
-
-def mat_scale(m, c):
-    return tuple(tuple(c * e for e in row) for row in m)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def gauss_solve(rows, rhs):

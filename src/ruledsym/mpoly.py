@@ -5,11 +5,10 @@ paths).  Every polynomial carries a fixed tuple of variable names; mixing
 polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
-The elimination toolbox provides pseudo-remainders, fraction-free
-subresultant chains (whose members lie in the ideal generated by the two
-inputs -- the property projection-based solving relies on), an exact
-Sylvester resultant via Bareiss elimination, and a recursive primitive-PRS
-gcd used for square-free reduction.
+Beyond arithmetic, the module provides pseudo-remainders, an exact
+Sylvester resultant via Bareiss elimination (algebraic-number sums and
+products are built on it) and a recursive primitive-PRS gcd (the implicit
+pipeline's square-free check uses it).
 """
 
 from fractions import Fraction
@@ -102,9 +101,6 @@ class MultiPoly:
                 if e:
                     out.add(self.vars[i])
         return out
-
-    def num_terms(self):
-        return len(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -388,14 +384,6 @@ def exact_div(f, g):
     return MultiPoly(f.vars, quot)
 
 
-def divides(g, f):
-    try:
-        exact_div(f, g)
-        return True
-    except ValueError:
-        return False
-
-
 def project(p, new_vars):
     """Re-express a polynomial on another variable tuple.
 
@@ -449,57 +437,6 @@ def prem(f, g, name):
     if e > 0:
         rem = rem * lg ** e
     return rem
-
-
-# ---- subresultant chain (fraction-free) ----
-
-def subresultant_chain(f, g, name):
-    """Fraction-free polynomial remainder sequence in one variable.
-
-    Every chain member is a polynomial combination of f and g, so it
-    vanishes on their common zero set; the last member ends the chain
-    either with degree zero in the eliminated variable (projection case)
-    or just before a vanishing pseudo-remainder (common-factor case).
-    """
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        raise ZeroInput("zero polynomial in subresultant chain")
-    if f.degree_in(name) < g.degree_in(name):
-        f, g = g, f
-    chain = [f, g]
-    one = MultiPoly.const(f.vars, 1)
-    gg, h = one, one
-    a, b = f, g
-    while True:
-        db = b.degree_in(name)
-        if db <= 0:
-            break
-        d = a.degree_in(name) - db
-        r = prem(a, b, name)
-        if r.is_zero():
-            break
-        divisor = gg * h ** d
-        r = exact_div(r, divisor)
-        chain.append(r)
-        a, b = b, r
-        gg = a.as_univar(name)[-1]
-        if d == 0:
-            pass
-        elif d == 1:
-            h = gg
-        else:
-            h = exact_div(gg ** d, h ** (d - 1))
-    return chain
-
-
-def eliminate_pair(f, g, name):
-    """Last subresultant free of `name`, or None when f and g share a factor
-    involving `name` (so no projection polynomial exists for this pair)."""
-    chain = subresultant_chain(f, g, name)
-    last = chain[-1]
-    if last.degree_in(name) == 0:
-        return last.normalized()
-    return None
 
 
 # ---- Sylvester resultant (Bareiss fraction-free determinant) ----
@@ -602,18 +539,3 @@ def mp_gcd(f, g):
         a, b = b, r
     _, b = content_and_primitive(b)
     return (cont * b).normalized()
-
-
-def squarefree_part(f):
-    """Largest square-free divisor with the same zero set."""
-    if f.is_zero() or f.is_constant():
-        return f.normalized()
-    g = f
-    for name in sorted(f.used_vars()):
-        d = f.derivative(name)
-        if d.is_zero():
-            continue
-        g = mp_gcd(g, d)
-        if g.is_constant():
-            return f.normalized()
-    return exact_div(f, g).normalized()

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import ParseError
 from .mpoly import MultiPoly
 from .ratfunc import RatFunc
-from .upoly import UniPoly
 
 _OPS = set("+-*/^()")
 

@@ -1,40 +1,41 @@
 """Parameter-space conditions for symmetries of a ruled surface.
 
 A symmetry of a non-cylindrical standard-form surface induces a map of the
-line parameter t ↦ (a t + b)/(c t + d) together with a rescaling of the
-ruling parameter by k (c t + d)^n, k nonzero, n the direction degree.
-Writing M for the squared direction norm (degree exactly 2n, positive on
-the reals), orthogonality of the matrix part forces
+line parameter psi(t) = (alpha t + beta)/(gamma t + delta) together with a
+rescaling of the ruling parameter by k (gamma t + delta)^n, k nonzero, n
+the direction degree.  Two charts cover every such map: the affine chart
+gamma = 0, delta = 1, with unknowns (alpha, beta), and the chart gamma = 1
+with unknowns (alpha, beta, delta).  Write den for the denominator of psi
+on the chart, t + delta or 1.
 
-    M(t) * K * (c t + d)^(2n) * M(psi(t)) ... = M(t)  with  K = k^2,
+Orthogonality of the matrix part forces the squared direction norm M
+(degree exactly 2n, positive on the reals) to satisfy
+M = K den^(2n) M(psi) with K = k^2.  More generally, for a polynomial f
+of degree d, H = den^d f(psi) is a nonzero constant multiple of f
+exactly when
 
-i.e. M(t) = K * Mhat(t) where Mhat is the degree-2n homogenized
-composition of M with psi.  Matching leading coefficients eliminates K
-rationally in both branches of the fractional-linear map:
+    lead(f) * H - [t^d]H * f = 0
 
-  * affine branch  (c = 0, d = 1):  K = a^(-2n), system
-        M(a t + b) - a^(2n) M(t) = 0  coefficientwise, unknowns (a, b);
-  * general branch (c = 1):         K = lead(M)/M(a), system
-        M(t) M(a) - lead(M) * Mhat(t) = 0, unknowns (a, b, d).
+with [t^d]H, the coefficient of t^d in H, nonzero.  The coefficients of
+t^j, j < d, of the left side are polynomial equations in the unknowns;
+the t^d coefficient vanishes identically.  With f = M they are the raw
+equations, and K follows from the leading coefficients: alpha^(-2n) on
+the affine chart, lead(M)/M(alpha) on the other.
 
 Since psi permutes the projective root multiset of M and preserves root
-multiplicities, each square-free multiplicity class of M is preserved
-separately.  The per-class conditions (with the class scale factor
-cross-multiplied away) cut the solution set down drastically and are
-equivalent to the full conditions wherever the map is nondegenerate, so
+multiplicities, it preserves each square-free multiplicity class of M
+separately, and the same formula with f = each (monic) class gives the
+class equations.  They cut the solution set down drastically and are
+equivalent to the raw equations wherever the map is nondegenerate, so
 candidates from the class system are always validated against the raw
 system afterwards.
 """
 
-from fractions import Fraction
-
 from .algnum import Alg, alg_sqrt, ensure_alg
 from .errors import PreconditionViolation
 from .mpoly import MultiPoly, project
-from .ratfunc import RatFunc, mobius
-from .upoly import UniPoly
+from .ratfunc import homogenized_eval
 
-AFFINE_VARS = ("t", "alpha", "beta")
 GENERAL_VARS = ("t", "alpha", "beta", "delta")
 
 
@@ -44,7 +45,9 @@ class ReparamCandidate:
     __slots__ = ("gamma", "alpha", "beta", "delta", "k", "n")
 
     def __init__(self, gamma, alpha, beta, delta, k, n):
-        assert gamma in (0, 1)
+        if gamma not in (0, 1):
+            raise PreconditionViolation(
+                "gamma must be 0 or 1, not %r" % (gamma,))
         self.gamma = gamma
         self.alpha = ensure_alg(alpha)
         self.beta = ensure_alg(beta)
@@ -58,26 +61,6 @@ class ReparamCandidate:
     def is_identity_map(self):
         return (self.gamma == 0 and self.alpha == 1 and self.beta == 0
                 and self.k == 1)
-
-    def psi(self):
-        """The fractional-linear map as an exact rational function."""
-        a = _plain(self.alpha)
-        b = _plain(self.beta)
-        d = _plain(self.delta)
-        return mobius(a, b, self.gamma, d)
-
-    def psi_of(self, value):
-        num = self.alpha * value + self.beta
-        den = self.gamma * value + self.delta
-        return num / den
-
-    def scale_poly(self):
-        """(gamma t + delta)^n as a univariate polynomial."""
-        base = UniPoly([_plain(self.delta), Fraction(self.gamma)])
-        return base ** self.n
-
-    def key(self):
-        return (self.gamma, self.alpha, self.beta, self.delta, self.k)
 
     def same_map(self, other):
         return (self.gamma == other.gamma and self.alpha == other.alpha
@@ -96,13 +79,13 @@ def _plain(v):
 
 
 class ReparamSystem:
-    """Polynomial conditions on the parameter map, one fractional-linear branch."""
+    """Polynomial conditions on the parameter map on one chart."""
 
     __slots__ = ("gamma", "vars", "class_equations", "raw_equations", "classes",
-                 "norm_square", "n")
+                 "norm_square", "n", "determinant")
 
     def __init__(self, gamma, vars, class_equations, raw_equations, classes,
-                 norm_square, n):
+                 norm_square, n, determinant):
         self.gamma = gamma
         self.vars = vars
         self.class_equations = class_equations
@@ -110,25 +93,10 @@ class ReparamSystem:
         self.classes = classes
         self.norm_square = norm_square
         self.n = n
-
-    def all_equations(self):
-        return self.class_equations + self.raw_equations
+        self.determinant = determinant
 
     def unknowns(self):
         return self.vars
-
-    def render(self):
-        return {
-            "branch": "affine" if self.gamma == 0 else "general",
-            "unknowns": list(self.vars),
-            "norm_square": self.norm_square.render("t"),
-            "classes": [
-                {"factor": f.render("t"), "multiplicity": m}
-                for f, m in self.classes
-            ],
-            "class_equations": [e.render() for e in self.class_equations],
-            "raw_equations": [e.render() for e in self.raw_equations],
-        }
 
 
 def squarefree_classes(m):
@@ -136,111 +104,59 @@ def squarefree_classes(m):
     return m.squarefree_decomposition()
 
 
-def _compose_affine(p, full_vars):
-    """Coefficients in t of p(alpha*t + beta) over the remaining unknowns."""
-    t = MultiPoly.var(full_vars, "t")
-    a = MultiPoly.var(full_vars, "alpha")
-    b = MultiPoly.var(full_vars, "beta")
-    arg = a * t + b
-    total = MultiPoly(full_vars)
-    power = MultiPoly.const(full_vars, 1)
-    for c in p.coeffs:
-        if c != 0:
-            total = total + power * c
-        power = power * arg
-    return total
+def psi_parts(space, gamma):
+    """alpha, beta, gamma and delta of psi on one chart, over space.
+
+    The one place where the charts differ: delta is an unknown when
+    gamma = 1 and the constant 1 on the affine chart.
+    """
+    if gamma:
+        delta = MultiPoly.var(space, "delta")
+    else:
+        delta = MultiPoly.const(space, 1)
+    return (MultiPoly.var(space, "alpha"), MultiPoly.var(space, "beta"),
+            MultiPoly.const(space, gamma), delta)
 
 
-def _compose_homogenized(p, full_vars, m):
-    """Sum of p_j (alpha t + beta)^j (t + delta)^(m-j) over the unknowns."""
-    t = MultiPoly.var(full_vars, "t")
-    a = MultiPoly.var(full_vars, "alpha")
-    b = MultiPoly.var(full_vars, "beta")
-    d = MultiPoly.var(full_vars, "delta")
-    num = a * t + b
-    den = t + d
-    num_pows = [MultiPoly.const(full_vars, 1)]
-    den_pows = [MultiPoly.const(full_vars, 1)]
-    for _ in range(m):
-        num_pows.append(num_pows[-1] * num)
-        den_pows.append(den_pows[-1] * den)
-    total = MultiPoly(full_vars)
-    for j, c in enumerate(p.coeffs):
-        if c != 0:
-            total = total + (num_pows[j] * den_pows[m - j]) * c
-    return total
+def _invariance_equations(f, num, den, unknowns):
+    """The t^j coefficients, j < deg f, of lead(f)*H - [t^d]H * f.
 
-
-def _coefficient_equations(poly_in_t, full_vars, out_vars):
-    eqs = []
-    for coeff in poly_in_t.as_univar("t"):
-        if not coeff.is_zero():
-            eqs.append(project(coeff, out_vars))
-    return eqs
-
-
-def _class_equations_affine(cls_poly, full_vars, out_vars):
-    d = cls_poly.degree()
-    composed = _compose_affine(cls_poly, full_vars)
-    coeffs = composed.as_univar("t")
-    while len(coeffs) < d + 1:
-        coeffs.append(MultiPoly(full_vars))
-    top = coeffs[d]
+    H = den^d f(num/den) with d = deg f; see the module docstring.
+    """
+    d = f.degree()
+    coeffs = homogenized_eval(f, num, den, d).as_univar("t")
+    coeffs += [num * 0] * (d + 1 - len(coeffs))
     eqs = []
     for j in range(d):
-        e = coeffs[j] - top * cls_poly.coeff(j)
+        e = coeffs[j] * f.lead() - coeffs[d] * f.coeff(j)
         if not e.is_zero():
-            eqs.append(project(e, out_vars))
+            eqs.append(project(e, unknowns))
     return eqs
 
 
-def _class_equations_general(cls_poly, full_vars, out_vars):
-    d = cls_poly.degree()
-    composed = _compose_homogenized(cls_poly, full_vars, d)
-    coeffs = composed.as_univar("t")
-    while len(coeffs) < d + 1:
-        coeffs.append(MultiPoly(full_vars))
-    top = coeffs[d]
-    eqs = []
-    for j in range(d):
-        e = coeffs[j] - top * cls_poly.coeff(j)
-        if not e.is_zero():
-            eqs.append(project(e, out_vars))
-    return eqs
+def build_system(surface, gamma):
+    """The parameter-map system on the chart gamma = 0 (affine) or 1."""
+    space = GENERAL_VARS[:3 + gamma]
+    unknowns = space[1:]
+    a, b, c, d = psi_parts(space, gamma)
+    t = MultiPoly.var(space, "t")
+    num, den = a * t + b, c * t + d
+    m = surface.norm_square()
+    classes = squarefree_classes(m)
+    class_eqs = []
+    for f, _ in classes:
+        class_eqs.extend(_invariance_equations(f, num, den, unknowns))
+    raw = _invariance_equations(m, num, den, unknowns)
+    return ReparamSystem(gamma, unknowns, class_eqs, raw, classes, m,
+                         surface.n, project(a * d - b * c, unknowns))
 
 
 def build_affine_system(surface):
-    m = surface.norm_square()
-    n = surface.n
-    classes = squarefree_classes(m)
-    out_vars = ("alpha", "beta")
-    class_eqs = []
-    for f, _ in classes:
-        class_eqs.extend(_class_equations_affine(f, AFFINE_VARS, out_vars))
-    composed = _compose_affine(m, AFFINE_VARS)
-    m_t = MultiPoly.from_unipoly(AFFINE_VARS, "t", m)
-    a_pow = MultiPoly.var(AFFINE_VARS, "alpha", 2 * n)
-    raw = _coefficient_equations(composed - a_pow * m_t, AFFINE_VARS, out_vars)
-    return ReparamSystem(0, out_vars, class_eqs, raw, classes, m, n)
+    return build_system(surface, 0)
 
 
 def build_general_system(surface):
-    m = surface.norm_square()
-    n = surface.n
-    classes = squarefree_classes(m)
-    out_vars = ("alpha", "beta", "delta")
-    class_eqs = []
-    for f, _ in classes:
-        class_eqs.extend(_class_equations_general(f, GENERAL_VARS, out_vars))
-    mhat = _compose_homogenized(m, GENERAL_VARS, 2 * n)
-    m_t = MultiPoly.from_unipoly(GENERAL_VARS, "t", m)
-    m_alpha = MultiPoly(GENERAL_VARS)
-    for j, c in enumerate(m.coeffs):
-        if c != 0:
-            m_alpha = m_alpha + MultiPoly.var(GENERAL_VARS, "alpha", j) * c
-    raw = _coefficient_equations(m_t * m_alpha - mhat * m.lead(),
-                                 GENERAL_VARS, out_vars)
-    return ReparamSystem(1, out_vars, class_eqs, raw, classes, m, n)
+    return build_system(surface, 1)
 
 
 def build_systems(surface):
@@ -276,8 +192,5 @@ def _eval_unipoly_alg(p, x):
 
 
 def candidate_from_point(system, point, k):
-    if system.gamma == 0:
-        return ReparamCandidate(0, point["alpha"], point["beta"], Fraction(1),
-                                k, system.n)
-    return ReparamCandidate(1, point["alpha"], point["beta"], point["delta"],
-                            k, system.n)
+    return ReparamCandidate(system.gamma, point["alpha"], point["beta"],
+                            point.get("delta", 1), k, system.n)

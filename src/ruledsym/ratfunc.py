@@ -140,21 +140,13 @@ class RatFunc:
             return RatFunc(self.den ** (-e), self.num ** (-e))
         return RatFunc(self.num ** e, self.den ** e)
 
-    # ---- evaluation and composition ----
+    # ---- evaluation ----
 
     def __call__(self, value):
         dv = self.den(value)
         if dv == 0:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num(value) / dv
-
-    def compose(self, other):
-        """self(other(t)) as a rational function."""
-        other = _as_ratfunc(other)
-        m = max(self.num.degree(), self.den.degree(), 0)
-        n = homogenized_eval(self.num, other.num, other.den, m)
-        d = homogenized_eval(self.den, other.num, other.den, m)
-        return RatFunc(n, d)
 
     def render(self, var="t"):
         top = self.num.render(var)
@@ -177,18 +169,23 @@ def _as_ratfunc(x):
     return None
 
 
-def homogenized_eval(p, a_poly, b_poly, m):
-    """Sum of p_i * a_poly^i * b_poly^(m-i): the value b^m * p(a/b)."""
+def homogenized_eval(p, num, den, m):
+    """Sum of p_i * num^i * den^(m-i): the value den^m * p(num/den).
+
+    num and den are UniPolys or MultiPolys of one variable space; the
+    result is of their kind.
+    """
     assert m >= p.degree()
-    total = UniPoly()
-    a_pow = UniPoly.const(1)
-    b_pows = [UniPoly.const(1)]
+    one = den ** 0
+    total = one * 0
+    num_pow = one
+    den_pows = [one]
     for _ in range(m):
-        b_pows.append(b_pows[-1] * b_poly)
+        den_pows.append(den_pows[-1] * den)
     for i, c in enumerate(p.coeffs):
         if c != 0:
-            total = total + (a_pow * b_pows[m - i]).scale(c)
-        a_pow = a_pow * a_poly
+            total = total + num_pow * den_pows[m - i] * c
+        num_pow = num_pow * num
     return total
 
 

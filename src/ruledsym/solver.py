@@ -354,15 +354,6 @@ def _dedupe_points(points, names):
     return kept
 
 
-def _determinant(system):
-    """alpha*delta - beta*gamma over the system's unknowns."""
-    alpha = MultiPoly.var(system.vars, "alpha")
-    if system.gamma == 0:
-        return alpha
-    return alpha * MultiPoly.var(system.vars, "delta") \
-        - MultiPoly.var(system.vars, "beta")
-
-
 def solve_parameter_maps(surface, systems):
     """Validated parameter-map candidates (both branches, both signs of k).
 
@@ -375,16 +366,11 @@ def solve_parameter_maps(surface, systems):
     candidates = []
     for system in systems:
         points = solve_zero_dim(system.class_equations, system.unknowns(),
-                                nonzero=_determinant(system))
+                                nonzero=system.determinant)
         for point in points:
-            alpha = ensure_alg(point["alpha"])
-            if system.gamma == 0:
-                if alpha == 0:
-                    continue
-            else:
-                det = alpha * ensure_alg(point["delta"]) - ensure_alg(point["beta"])
-                if det == 0:
-                    continue
+            # before scale_factors, which divides by alpha on the affine chart
+            if candidate_from_point(system, point, 1).det() == 0:
+                continue
             if not all(evaluate_certified(r, point)
                        for r in system.raw_equations):
                 continue

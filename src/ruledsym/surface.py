@@ -13,8 +13,8 @@ from fractions import Fraction
 from .errors import ParseError, ZeroDirection
 from .linalg import cross, gauss_solve
 from .parser import parse_ratfunc
-from .ratfunc import RatFunc, _as_ratfunc
-from .upoly import UniPoly, frac_gcd, poly_gcd, poly_lcm
+from .ratfunc import _as_ratfunc
+from .upoly import frac_gcd, poly_gcd, poly_lcm
 
 
 class RuledSurface:

@@ -54,10 +54,6 @@ class UniPoly:
     def x(cls):
         return cls([0, 1])
 
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls([0] * k + [c])
-
     # ---- basic queries ----
 
     def degree(self):
@@ -239,14 +235,6 @@ class UniPoly:
         return a.monic()
 
     # ---- square-free structure (rational coefficients) ----
-
-    def squarefree_part(self):
-        if self.is_zero():
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree() <= 0:
-            return self.monic()
-        return (self // g).monic()
 
     def squarefree_decomposition(self):
         """Yun's algorithm.

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +10,9 @@ from ruledsym.algnum import (
     Alg,
     Interval,
     alg_sqrt,
-    algebraic_root,
     ensure_alg,
     evaluate_certified,
     isolate_real_roots,
-    vanishes_at,
 )
 from ruledsym.errors import PrecisionBudgetExceeded, PreconditionViolation
 from ruledsym.mpoly import MultiPoly
@@ -96,21 +97,36 @@ def test_order_and_sign():
 
 
 def test_equality_across_intervals():
-    a = algebraic_root(SQRT2, Fraction(1), Fraction(2))
-    b = algebraic_root(SQRT2, Fraction(5, 4), Fraction(100))
+    a = Alg._make(SQRT2, Fraction(1), Fraction(2))
+    b = Alg._make(SQRT2, Fraction(5, 4), Fraction(100))
     assert a == b
-    c = algebraic_root(SQRT2, Fraction(-2), Fraction(0))
+    c = Alg._make(SQRT2, Fraction(-2), Fraction(0))
     assert a != c
     assert hash(a) == hash(b)
 
 
-def test_algebraic_root_validation():
-    with pytest.raises(PreconditionViolation):
-        algebraic_root(SQRT2, Fraction(-2), Fraction(2))  # two roots
-    with pytest.raises(PreconditionViolation):
-        algebraic_root(UniPoly([-4, 0, 1]), Fraction(0), Fraction(2))  # endpoint root
-    v = algebraic_root(UniPoly([-1, 0, 0, 1]) * UniPoly([-2, 0, 1]), Fraction(0.9), Fraction(1.1))
-    assert v.is_rational() and v.as_fraction() == 1
+def test_refine_rejects_a_rational_midpoint_root_under_optimization():
+    # (x - 1)(x^2 - 2) is not a minimal polynomial: bisecting (0, 2) lands
+    # on its root 1, which must raise even with asserts compiled away
+    code = (
+        "from fractions import Fraction\n"
+        "from ruledsym.algnum import Alg\n"
+        "from ruledsym.errors import PreconditionViolation\n"
+        "from ruledsym.upoly import UniPoly\n"
+        "forged = Alg._make(UniPoly([-1, 1]) * UniPoly([-2, 0, 1]),\n"
+        "                   Fraction(0), Fraction(2))\n"
+        "try:\n"
+        "    forged.refine()\n"
+        "except PreconditionViolation:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_isolate_real_roots():
@@ -123,14 +139,6 @@ def test_isolate_real_roots():
     assert abs(vals[2] - 2 ** 0.5) < 1e-9
     assert roots[3] == 3
     assert isolate_real_roots(UniPoly([1, 0, 1])) == []
-
-
-def test_vanishes_at():
-    r = sqrt_of(2)
-    assert vanishes_at(UniPoly([-2, 0, 1]), r)
-    assert vanishes_at(UniPoly([-4, 0, 0, 0, 1]), r)  # x^4 - 4
-    assert not vanishes_at(UniPoly([-2, 1]), r)
-    assert vanishes_at(UniPoly([-2, 1]), Alg.rational(2))
 
 
 def test_evaluate_certified_zero_and_nonzero():

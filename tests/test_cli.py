@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ruledsym import algnum
+from ruledsym import algnum, cli
 from ruledsym.cli import run
 
 from conftest import SURFACE_JSON
@@ -157,17 +157,26 @@ def test_mesh_emission(tmp_path, capsys):
     assert len(lines) == 1 + 50 * 20
 
 
-def test_precision_bits_threads_through(tmp_path, capsys):
-    try:
-        rc, captured = run_json(
-            capsys,
-            ["--input", write_input(tmp_path, "x6"),
-             "--precision-bits", "64"])
-        assert rc == 0
-        assert algnum.DEFAULT_BUDGET_BITS == 64
-        assert json.loads(captured.out)["count"] == 2
-    finally:
-        algnum.set_default_budget(200)
+def test_precision_bits_threads_through(tmp_path, capsys, monkeypatch):
+    seen = []
+    real_build_report = cli.build_report
+
+    def recording_build_report(surface, mode):
+        seen.append(algnum.DEFAULT_BUDGET_BITS)
+        return real_build_report(surface, mode)
+
+    monkeypatch.setattr(cli, "build_report", recording_build_report)
+    rc, captured = run_json(
+        capsys,
+        ["--input", write_input(tmp_path, "x6"), "--precision-bits", "64"])
+    assert rc == 0
+    assert seen == [64]
+    assert json.loads(captured.out)["count"] == 2
+    # the budget is restored for the next in-process call
+    assert algnum.DEFAULT_BUDGET_BITS == 200
+    rc, _ = run_json(capsys, ["--input", write_input(tmp_path, "x6")])
+    assert rc == 0
+    assert seen == [64, 200]
 
 
 def test_module_entry_point(tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ruledsym.algnum import Alg, alg_sqrt, ensure_alg
 from ruledsym.errors import CylindricalInput
@@ -19,6 +20,8 @@ from ruledsym.phisys import build_systems
 from ruledsym.solver import solve_parameter_maps
 from ruledsym.surface import surface_from_json
 from ruledsym.upoly import UniPoly
+
+from conftest import SURFACE_JSON
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -367,3 +370,33 @@ def test_isometry_involution_flags():
     assert mirror.is_involution()
     slide = Isometry(I3, (1, 0, 0), None, None)
     assert not slide.is_involution()
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a reparametrization of t does not change the symmetry group
+
+_T = sympy.Symbol("t")
+_REPARAMETRIZATIONS = {"1/t": 1 / _T, "-t": -_T, "1/(t+1)": 1 / (_T + 1)}
+
+
+def _reparametrized(name, image):
+    """The corpus surface name with t replaced by image, as input JSON."""
+    def substitute(text):
+        expr = sympy.sympify(text.replace("^", "**")).subs(_T, image)
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        return "(%s)/(%s)" % (sympy.expand(num), sympy.expand(den))
+
+    return {key: [substitute(c) for c in comps]
+            for key, comps in SURFACE_JSON[name].items()}
+
+
+@pytest.mark.parametrize("image", sorted(_REPARAMETRIZATIONS))
+@pytest.mark.parametrize("name", ["x4", "x5", "x6", "linear_q"])
+def test_reparametrization_keeps_the_symmetries(corpus, name, image):
+    moved = surface_from_json(
+        _reparametrized(name, _REPARAMETRIZATIONS[image]))
+    want = symmetries(corpus[name])
+    got = symmetries(moved)
+    assert len(got) == len(want)
+    for f in want:
+        assert any(f.same_motion(g) for g in got), (f.Q, f.b)

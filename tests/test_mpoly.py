@@ -1,18 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from ruledsym.mpoly import (
     MultiPoly,
-    divides,
-    eliminate_pair,
     exact_div,
     mp_gcd,
     prem,
     resultant,
-    squarefree_part,
-    subresultant_chain,
 )
 from ruledsym.upoly import UniPoly
 
@@ -76,8 +73,8 @@ def test_exact_division():
     a = MultiPoly.var(V3, "a")
     f = (t + a) ** 3 * (t - 2)
     assert exact_div(f, (t + a) ** 2) == (t + a) * (t - 2)
-    assert divides(t + a, f)
-    assert not divides(t + a + 1, f)
+    with pytest.raises(ValueError):
+        exact_div(f, t + a + 1)
 
 
 def test_prem_matches_definition():
@@ -154,30 +151,6 @@ def test_resultant_vanishes_iff_common_root():
     assert ru(Fraction(1)) == 0 and ru(Fraction(-1)) == 0 and ru(Fraction(2)) != 0
 
 
-def test_subresultant_chain_members_vanish_on_common_zeros():
-    vars = ("t", "a")
-    t = MultiPoly.var(vars, "t")
-    a = MultiPoly.var(vars, "a")
-    f = (t - a) ** 2 * (t + 3) + (a - 1) * (t - a)
-    g = (t - a) * (t ** 2 + a)
-    # (t, a) = (1, 1) is a common zero of both
-    point = {"t": Fraction(1), "a": Fraction(1)}
-    assert f.eval(point) == 0 and g.eval(point) == 0
-    for member in subresultant_chain(f, g, "t"):
-        assert member.eval(point) == 0
-
-
-def test_eliminate_pair_projection_and_common_factor():
-    vars = ("t", "a")
-    t = MultiPoly.var(vars, "t")
-    a = MultiPoly.var(vars, "a")
-    proj = eliminate_pair(t ** 2 - a, t - 3, "t")
-    pu = proj.to_unipoly("a")
-    assert pu(Fraction(9)) == 0 and pu.degree() == 1
-    shared = eliminate_pair((t - a) * (t + 1), (t - a) * (t + 2), "t")
-    assert shared is None
-
-
 def test_mp_gcd_and_squarefree():
     vars = ("x", "y")
     x = MultiPoly.var(vars, "x")
@@ -186,8 +159,9 @@ def test_mp_gcd_and_squarefree():
     g = (x + y) * (x + 1)
     got = mp_gcd(f, g)
     assert got == (x + y).normalized()
-    sf = squarefree_part(f)
-    assert sf == ((x + y) * (x - y)).normalized()
+    # f divided by its gcd with df/dx is its square-free part
+    sf = exact_div(f, mp_gcd(f, f.derivative("x")))
+    assert sf.normalized() == ((x + y) * (x - y)).normalized()
     # gcd with disjoint factors is constant
     assert mp_gcd(x + 1, y + 1).is_constant()
 

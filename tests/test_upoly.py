@@ -93,14 +93,8 @@ def test_squarefree_decomposition():
     assert dict((m_, f) for f, m_ in dec3) == {2: T, 3: T - 1}
 
 
-def test_squarefree_part():
-    p = (T - 2) ** 3 * (T + 5)
-    assert p.squarefree_part() == ((T - 2) * (T + 5)).monic()
-
-
 def test_sturm_root_counts():
-    p = (T - 1) * (T + 1) * T  # roots -1, 0, 1
-    sf = p.squarefree_part()
+    sf = (T - 1) * (T + 1) * T  # roots -1, 0, 1
     b = sf.cauchy_bound()
     assert sf.count_roots(-b, b) == 3
     assert sf.count_roots(Fraction(-1, 2), b) == 2
