@@ -1,32 +1,44 @@
-"""Exact real algebraic numbers.
+"""Exact real algebraic numbers as elements of real number fields.
 
-A value is either a rational (stored as a Fraction) or a root of a monic
-irreducible rational polynomial pinned down by an isolating interval with
-rational endpoints.  Because the minimal polynomial of an irrational value
-has degree at least two, rational interval endpoints are never roots, so
-bisection refinement never stalls.
+A value is either a rational, stored as a Fraction (the fast path), or an
+element of a number field Q(theta).  The field holds a monic irreducible
+rational polynomial m of degree d >= 2 and an isolating interval with
+rational endpoints for the real root theta at which it is embedded; the
+value holds its d rational coordinates on 1, theta, ..., theta^(d-1)
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138, ch. 4).
 
-Arithmetic on two irrational values goes through bivariate resultants:
-the sum a+b is a root of res_y(A(y), B(x-y)) and the product of
-res_y(A(y), y^m B(x/y)); the resulting polynomial is factored over the
-rationals and the correct irreducible factor is selected by shrinking the
-operands' isolating intervals until exactly one candidate root survives.
-Operations with a rational operand use direct minimal-polynomial
-transformations instead and are cheap.
+Field operations are exact: sums add coordinates, products multiply
+polynomials and reduce modulo m, inverses come from an extended gcd with
+m.  A value is zero exactly when its coordinates are, so a zero test never
+refines anything.  A value whose coordinates are constant is demoted to the
+rational fast path, so an irrational value is never zero.
 
-The module also provides certified zero tests for polynomial expressions
-at algebraic points (interval arithmetic first, exact arithmetic as a
-last resort) and real-root isolation for rational univariate polynomials.
+Two values from different fields meet in their join.  A primitive element
+phi = theta_F + c*theta_G, with c = 1, 2, ... until phi's minimal polynomial
+in the tensor product F (x) G has full degree, is found by linear algebra,
+which also writes theta_F and theta_G as polynomials in phi.  The factor of
+that polynomial whose root is phi's real value defines the common field.
+Each pair of fields is joined once; the result is cached on the fields.
+
+Numeric data is computed only when asked: an enclosing interval by
+evaluating the coordinates on theta's interval (refined by bisection), the
+sign once the exact test has ruled out zero, and the minimal polynomial as
+the first linear dependence among the powers of the value.  Real-root
+isolation and square roots return the generator of a new field.  Because
+the minimal polynomial of an irrational value has degree at least two,
+rational interval endpoints are never roots, so refinement never stalls.
 """
 
 import math
 from fractions import Fraction
 
-from .errors import PrecisionBudgetExceeded, PreconditionViolation, ZeroInput
-from .mpoly import MultiPoly, resultant as _mp_resultant
+from .errors import PreconditionViolation, ZeroInput
+from .linalg import gauss_solve
 from .upoly import UniPoly, factor_rational
 
 _MAX_REFINE = 20000
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Interval:
@@ -49,33 +61,12 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def contains_zero(self):
-        return self.lo <= 0 <= self.hi
-
-    def contains(self, v):
-        return self.lo <= v <= self.hi
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             return Interval(self.lo + other, self.hi + other)
         if isinstance(other, Interval):
             return Interval(self.lo + other.lo, self.hi + other.hi)
         return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Interval(self.lo - other, self.hi - other)
-        if isinstance(other, Interval):
-            return Interval(self.lo - other.hi, self.hi - other.lo)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -90,25 +81,14 @@ class Interval:
         )
         return Interval(min(cands), max(cands))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
-        if e == 0:
-            return Interval.point(Fraction(1))
-        if e % 2 == 0 and self.lo < 0 < self.hi:
-            m = max(-self.lo, self.hi)
-            return Interval(Fraction(0), m ** e)
-        a, b = self.lo ** e, self.hi ** e
-        return Interval(min(a, b), max(a, b))
-
     def __repr__(self):
         return "Interval(%s, %s)" % (self.lo, self.hi)
 
 
 def _sqrt_bounds(r, bits):
     """Rational lo <= sqrt(r) <= hi with dyadic precision 2^-bits (r >= 0)."""
-    assert r >= 0
+    if r < 0:
+        raise PreconditionViolation("square root bounds of a negative value")
     scale = 1 << (2 * bits)
     denom = Fraction(1, 1 << bits)
     n_lo = (r.numerator * scale) // r.denominator
@@ -120,34 +100,240 @@ def _sqrt_bounds(r, bits):
     return lo, s * denom
 
 
-class Alg:
-    """Exact real algebraic number (rational fast path or minpoly + interval)."""
+# ---- the number field ----
 
-    __slots__ = ("rat", "minpoly", "_lo", "_hi", "_seq")
 
-    def __init__(self, rat=None, minpoly=None, lo=None, hi=None):
-        if rat is not None:
-            self.rat = Fraction(rat) if isinstance(rat, int) else rat
-            self.minpoly = None
-            self._lo = self._hi = None
-        else:
-            if minpoly is None or minpoly.degree() < 2:
-                raise PreconditionViolation(
-                    "an irrational value needs a minimal polynomial of "
-                    "degree at least two")
-            self.rat = None
-            self.minpoly = minpoly
-            self._lo = lo
-            self._hi = hi
+class NumberField:
+    """Q(theta) for the real root theta of a monic irreducible polynomial
+    that lies in a given isolating interval (lo, hi)."""
+
+    __slots__ = ("modulus", "degree", "lo", "hi", "steps", "gen", "_tail",
+                 "_seq", "_joins")
+
+    def __init__(self, modulus, lo, hi):
+        if modulus.degree() < 2:
+            raise PreconditionViolation(
+                "an irrational value needs a minimal polynomial of "
+                "degree at least two")
+        self.modulus = modulus.monic()
+        self.degree = self.modulus.degree()
+        self.lo = Fraction(lo)
+        self.hi = Fraction(hi)
+        # bisection steps so far; cached enclosures of elements compare it
+        self.steps = 0
+        self.gen = self.coords(UniPoly([_ZERO, _ONE]))
+        # theta^d = tail[0] + tail[1] theta + ... + tail[d-1] theta^(d-1)
+        self._tail = tuple(-c for c in self.modulus.coeffs[:-1])
         self._seq = None
+        self._joins = {}
+
+    def interval(self):
+        return Interval(self.lo, self.hi)
+
+    def _sturm(self):
+        if self._seq is None:
+            self._seq = self.modulus.sturm_sequence()
+        return self._seq
+
+    def refine(self):
+        """Halve theta's isolating interval."""
+        mid = (self.lo + self.hi) / 2
+        if self.modulus(mid) == 0:
+            # an irreducible polynomial of degree >= 2 has no rational root
+            raise PreconditionViolation(
+                "the minimal polynomial %s vanishes at %s"
+                % (self.modulus.render("x"), mid))
+        if self.modulus.count_roots(self.lo, mid, self._sturm()) == 1:
+            self.hi = mid
+        else:
+            self.lo = mid
+        self.steps += 1
+
+    def same_embedding(self, other):
+        """Whether other is this field with the same generator."""
+        if self.modulus != other.modulus:
+            return False
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return lo < hi and self.modulus.count_roots(lo, hi, self._sturm()) > 0
+
+    def join(self, other):
+        """The real field holding both fields, with the embeddings into it.
+
+        Returns (K, into_self, into_other).  A table lists the coordinates
+        in K of theta^0, ..., theta^(d-1) of its field, or is None when that
+        field is K itself.
+        """
+        hit = self._joins.get(other)
+        if hit is None:
+            hit = _join(self, other)
+            common, mine, theirs = hit
+            self._joins[other] = hit
+            other._joins[self] = (common, theirs, mine)
+            if common is not self:
+                # results in the common field meet both operands' fields
+                # again; without these entries each meeting would build a
+                # further field
+                self._joins[common] = (common, mine, None)
+                other._joins[common] = (common, theirs, None)
+                common._joins[self] = (common, None, mine)
+                common._joins[other] = (common, None, theirs)
+        return hit
+
+    # ---- coordinate arithmetic ----
+
+    def mul(self, a, b):
+        """Coordinates of a*b: the product polynomial reduced modulo m."""
+        d = self.degree
+        prod = [_ZERO] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        tail = self._tail
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            if c:
+                for j, t in enumerate(tail):
+                    if t:
+                        prod[k - d + j] += c * t
+        return tuple(prod[:d])
+
+    def inverse(self, a):
+        """Coordinates of 1/a by the extended Euclidean algorithm with m."""
+        # invariant: s_k * a == r_k modulo m
+        r0, r1 = self.modulus, UniPoly(a)
+        s0, s1 = UniPoly(), UniPoly([_ONE])
+        while r1.degree() > 0:
+            q, r = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        if r1.is_zero():
+            raise PreconditionViolation(
+                "%s is not irreducible" % self.modulus.render("x"))
+        return self.coords(s1.scale(1 / r1.coeffs[0]) % self.modulus)
+
+    def coords(self, poly):
+        """Coordinates of a polynomial of degree < d in theta."""
+        return tuple(poly.coeff(i) for i in range(self.degree))
+
+    def powers(self, a, count):
+        """Coordinates of a^0, a^1, ..., a^(count-1)."""
+        out = [self.coords(UniPoly([_ONE]))]
+        while len(out) < count:
+            out.append(self.mul(out[-1], a))
+        return out
+
+
+def _lift(coords, table):
+    """Coordinates of an element in the field an embedding table maps into."""
+    if table is None:
+        return coords
+    out = [_ZERO] * len(table[0])
+    for c, image in zip(coords, table):
+        if c:
+            for j, v in enumerate(image):
+                if v:
+                    out[j] += c * v
+    return tuple(out)
+
+
+def _first_dependence(powers):
+    """Monic polynomial from the first power that depends on the earlier ones.
+
+    powers are the coordinate vectors of a^0, a^1, ..., a^d in a field of
+    degree d, so the last one depends on the others at the latest.
+    """
+    size = len(powers[0])
+    for k in range(1, len(powers)):
+        rows = [[p[r] for p in powers[:k]] for r in range(size)]
+        solved = gauss_solve(rows, [-v for v in powers[k]])
+        if solved is not None:
+            return UniPoly(list(solved[0]) + [_ONE])
+    raise PreconditionViolation("no linear dependence among the powers")
+
+
+def _join(f, g):
+    """Compute the common field of f and g (see NumberField.join)."""
+    if f.same_embedding(g):
+        return f, None, None
+    m, n = f.degree, g.degree
+    size = m * n
+    # the tensor product F (x) G, coordinates on x^i y^j at index i*n + j
+    unit = [_ZERO] * size
+    one, x, y = list(unit), list(unit), list(unit)
+    one[0] = x[n] = y[1] = _ONE
+
+    def times(v, c):
+        """v * (x + c*y) in F (x) G."""
+        out = [_ZERO] * size
+        for idx, a in enumerate(v):
+            if not a:
+                continue
+            i, j = divmod(idx, n)
+            if i + 1 < m:
+                out[idx + n] += a
+            else:
+                for k, t in enumerate(f._tail):
+                    out[k * n + j] += a * t
+            b = a * c
+            if j + 1 < n:
+                out[idx + 1] += b
+            else:
+                for k, t in enumerate(g._tail):
+                    out[i * n + k] += b * t
+        return out
+
+    c = 0
+    while True:
+        c += 1
+        powers = [one]
+        for _ in range(size):
+            powers.append(times(powers[-1], c))
+        rows = [[p[r] for p in powers[:size]] for r in range(size)]
+        solved = gauss_solve(rows, powers[size])
+        if solved is not None and not solved[1]:
+            break
+    mu = UniPoly([-s for s in solved[0]] + [_ONE])
+    in_phi = [gauss_solve(rows, v)[0] for v in (x, y)]
+
+    def target():
+        return f.interval() + g.interval() * c
+
+    def refine():
+        f.refine()
+        g.refine()
+
+    phi = _select_root(mu, target, refine)
+    if phi.rat is not None:
+        raise PreconditionViolation("a primitive element came out rational")
+    common = phi.field
+    tables = [common.powers(common.coords(UniPoly(p) % common.modulus), d)
+              for p, d in zip(in_phi, (m, n))]
+    return common, tables[0], tables[1]
+
+
+# ---- the algebraic number ----
+
+
+class Alg:
+    """Exact real algebraic number: a rational, or an element of a field."""
+
+    __slots__ = ("rat", "field", "coords", "_minpoly", "_seq", "_iv")
+
+    def __init__(self, rat):
+        self.rat = Fraction(rat) if isinstance(rat, int) else rat
+        self.field = self.coords = None
+        self._minpoly = self._seq = self._iv = None
 
     @classmethod
     def rational(cls, r):
-        return cls(rat=r)
+        return cls(r)
 
     @classmethod
     def _make(cls, minpoly, lo, hi):
-        return cls(minpoly=minpoly, lo=lo, hi=hi)
+        """The root of minpoly in (lo, hi), as the generator of a new field."""
+        field = NumberField(minpoly, lo, hi)
+        return _irrational(field, field.gen)
 
     # ---- structure ----
 
@@ -155,16 +341,37 @@ class Alg:
         return self.rat is not None
 
     def as_fraction(self):
-        assert self.rat is not None
+        if self.rat is None:
+            raise PreconditionViolation("%r is not rational" % (self,))
         return self.rat
 
-    def degree(self):
-        return 1 if self.rat is not None else self.minpoly.degree()
+    @property
+    def minpoly(self):
+        """Monic minimal polynomial over the rationals (None for rationals)."""
+        if self.rat is not None:
+            return None
+        if self._minpoly is None:
+            field = self.field
+            if self.coords == field.gen:
+                self._minpoly = field.modulus
+            else:
+                self._minpoly = _first_dependence(
+                    field.powers(self.coords, field.degree + 1))
+        return self._minpoly
 
     def interval(self):
+        """Enclosure from the coordinates evaluated on theta's interval."""
         if self.rat is not None:
             return Interval.point(self.rat)
-        return Interval(self._lo, self._hi)
+        field = self.field
+        if self._iv is not None and self._iv[0] == field.steps:
+            return self._iv[1]
+        theta = field.interval()
+        acc = Interval.point(self.coords[-1])
+        for c in reversed(self.coords[:-1]):
+            acc = acc * theta + c
+        self._iv = (field.steps, acc)
+        return acc
 
     def _sturm(self):
         if self._seq is None:
@@ -172,23 +379,22 @@ class Alg:
         return self._seq
 
     def refine(self):
-        """One bisection step (no-op on rationals)."""
-        if self.rat is not None:
-            return
-        mid = (self._lo + self._hi) / 2
-        if self.minpoly(mid) == 0:
-            # an irreducible polynomial of degree >= 2 has no rational root
-            raise PreconditionViolation(
-                "the minimal polynomial %s vanishes at %s"
-                % (self.minpoly.render("x"), mid))
-        if self.minpoly.count_roots(self._lo, mid, self._sturm()) == 1:
-            self._hi = mid
-        else:
-            self._lo = mid
+        """One bisection step of the field generator (no-op on rationals)."""
+        if self.rat is None:
+            self.field.refine()
 
     def refine_below(self, width):
-        while self.rat is None and self._hi - self._lo >= width:
-            self.refine()
+        while self.rat is None and self.interval().width() >= width:
+            self.field.refine()
+
+    def _isolating(self, width=None):
+        """Enclosure holding no other root of the minimal polynomial."""
+        while True:
+            iv = self.interval()
+            if (width is None or iv.width() < width) and \
+                    self.minpoly.count_roots(iv.lo, iv.hi, self._sturm()) == 1:
+                return iv
+            self.field.refine()
 
     def canonical_interval(self, min_bits):
         """Dyadic cell [k/2^N, (k+1)/2^N] holding this irrational value.
@@ -198,38 +404,45 @@ class Alg:
         not on how far it happens to have been refined, and is chosen by the
         exact sign of the minimal polynomial at the grid point.
         """
+        mp = self.minpoly
         bits = min_bits
         while True:
             scale = 1 << bits
-            self.refine_below(Fraction(1, scale))
+            iv = self._isolating(Fraction(1, scale))
             # width < 2^-bits, so at most the grid point above k/2^bits
             # lies inside (lo, hi)
-            k = math.floor(self._lo * scale)
+            k = math.floor(iv.lo * scale)
             grid = Fraction(k + 1, scale)
-            if grid < self._hi and \
-                    (self.minpoly(grid) > 0) == (self.minpoly(self._lo) > 0):
+            if grid < iv.hi and (mp(grid) > 0) == (mp(iv.lo) > 0):
                 k += 1
             lo, hi = Fraction(k, scale), Fraction(k + 1, scale)
-            if self.minpoly.count_roots(lo, hi, self._sturm()) == 1:
+            if mp.count_roots(lo, hi, self._sturm()) == 1:
                 return Interval(lo, hi)
             bits += 1
 
     def sign(self):
         if self.rat is not None:
             return (self.rat > 0) - (self.rat < 0)
+        # an irrational value is nonzero, so the enclosure leaves zero
         for _ in range(_MAX_REFINE):
-            if self._lo > 0:
+            iv = self.interval()
+            if iv.lo > 0:
                 return 1
-            if self._hi < 0:
+            if iv.hi < 0:
                 return -1
-            self.refine()
-        raise AssertionError("sign refinement did not terminate")
+            self.field.refine()
+        raise PreconditionViolation("sign refinement did not terminate")
 
     def __float__(self):
+        """The nearest double, independent of how far theta was refined."""
         if self.rat is not None:
             return float(self.rat)
-        self.refine_below(Fraction(1, 1 << 64))
-        return float((self._lo + self._hi) / 2)
+        while True:
+            iv = self.interval()
+            lo, hi = float(iv.lo), float(iv.hi)
+            if lo == hi:
+                return lo
+            self.field.refine()
 
     def __repr__(self):
         if self.rat is not None:
@@ -242,19 +455,16 @@ class Alg:
         other = _as_alg(other)
         if other is None:
             return NotImplemented
-        if self.rat is not None and other.rat is not None:
-            return self.rat == other.rat
-        if (self.rat is None) != (other.rat is None):
-            return False
-        if self is other:
-            return True
+        if self.rat is not None or other.rat is not None:
+            return self.rat is not None and other.rat is not None \
+                and self.rat == other.rat
+        if self.field is other.field:
+            return self.coords == other.coords
         if self.minpoly != other.minpoly:
             return False
-        lo = max(self._lo, other._lo)
-        hi = min(self._hi, other._hi)
-        if lo >= hi:
-            return False
-        return self.minpoly.count_roots(lo, hi, self._sturm()) >= 1
+        a, b = self._isolating(), other._isolating()
+        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        return lo < hi and self.minpoly.count_roots(lo, hi, self._sturm()) > 0
 
     def __hash__(self):
         if self.rat is not None:
@@ -277,7 +487,7 @@ class Alg:
                 return False
             self.refine()
             other.refine()
-        raise AssertionError("comparison refinement did not terminate")
+        raise PreconditionViolation("comparison refinement did not terminate")
 
     def __le__(self, other):
         eq = self.__eq__(other)
@@ -301,50 +511,35 @@ class Alg:
 
     def __neg__(self):
         if self.rat is not None:
-            return Alg.rational(-self.rat)
-        n = self.minpoly.degree()
-        coeffs = [c * (-1) ** (n - i) for i, c in enumerate(self.minpoly.coeffs)]
-        return Alg._make(UniPoly(coeffs), -self._hi, -self._lo)
+            return Alg(-self.rat)
+        return _irrational(self.field, tuple(-c for c in self.coords))
 
     def _shift(self, r):
         """self + r for rational r."""
         if r == 0:
             return self
-        q = self.minpoly(UniPoly([-r, 1]))  # P(x - r)
-        return Alg._make(q, self._lo + r, self._hi + r)
+        return _irrational(self.field,
+                           (self.coords[0] + r,) + self.coords[1:])
 
     def _scale(self, r):
-        """self * r for rational nonzero r."""
+        """self * r for rational r."""
+        if r == 0:
+            return Alg(_ZERO)
         if r == 1:
             return self
-        n = self.minpoly.degree()
-        coeffs = [c * r ** (n - i) for i, c in enumerate(self.minpoly.coeffs)]
-        lo, hi = self._lo * r, self._hi * r
-        if r < 0:
-            lo, hi = hi, lo
-        return Alg._make(UniPoly(coeffs), lo, hi)
+        return _irrational(self.field, tuple(c * r for c in self.coords))
 
     def inverse(self):
         if self.rat is not None:
-            return Alg.rational(1 / self.rat)
-        c0 = self.minpoly.coeff(0)
-        coeffs = [c / c0 for c in reversed(self.minpoly.coeffs)]
-        self._exclude_zero()
-        return Alg._make(UniPoly(coeffs), 1 / self._hi, 1 / self._lo)
-
-    def _exclude_zero(self):
-        for _ in range(_MAX_REFINE):
-            if self._lo > 0 or self._hi < 0:
-                return
-            self.refine()
-        raise AssertionError("zero exclusion did not terminate")
+            return Alg(1 / self.rat)
+        return _irrational(self.field, self.field.inverse(self.coords))
 
     def __add__(self, other):
         other = _as_alg(other)
         if other is None:
             return NotImplemented
         if self.rat is not None and other.rat is not None:
-            return Alg.rational(self.rat + other.rat)
+            return Alg(self.rat + other.rat)
         if other.rat is not None:
             return self._shift(other.rat)
         if self.rat is not None:
@@ -370,14 +565,10 @@ class Alg:
         if other is None:
             return NotImplemented
         if self.rat is not None and other.rat is not None:
-            return Alg.rational(self.rat * other.rat)
+            return Alg(self.rat * other.rat)
         if other.rat is not None:
-            if other.rat == 0:
-                return Alg.rational(0)
             return self._scale(other.rat)
         if self.rat is not None:
-            if self.rat == 0:
-                return Alg.rational(0)
             return other._scale(self.rat)
         return _binary_mul(self, other)
 
@@ -396,10 +587,11 @@ class Alg:
         return other * self.inverse()
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         if self.rat is not None:
-            return Alg.rational(self.rat ** e)
-        out = Alg.rational(1)
+            return Alg(self.rat ** e)
+        out = Alg(_ONE)
         base = self
         while e:
             if e & 1:
@@ -412,11 +604,27 @@ class Alg:
         return -self if self.sign() < 0 else self
 
 
+def _irrational(field, coords):
+    a = object.__new__(Alg)
+    a.rat = None
+    a.field = field
+    a.coords = coords
+    a._minpoly = a._seq = a._iv = None
+    return a
+
+
+def _element(field, coords):
+    """The value with these coordinates, demoted when they are constant."""
+    if any(coords[1:]):
+        return _irrational(field, coords)
+    return Alg(coords[0])
+
+
 def _as_alg(x):
     if isinstance(x, Alg):
         return x
     if isinstance(x, (int, Fraction)):
-        return Alg.rational(x)
+        return Alg(x)
     return None
 
 
@@ -429,74 +637,52 @@ def ensure_alg(x):
 
 # ---- binary operations on two irrational values ----
 
-_XY = ("x", "y")
+
+def _aligned(a, b):
+    """The common field of a and b with both coordinate vectors in it."""
+    if a.field is b.field:
+        return a.field, a.coords, b.coords
+    field, into_a, into_b = a.field.join(b.field)
+    return field, _lift(a.coords, into_a), _lift(b.coords, into_b)
 
 
 def _binary_add(a, b):
-    ay = MultiPoly.from_unipoly(_XY, "y", a.minpoly)
-    x = MultiPoly.var(_XY, "x")
-    y = MultiPoly.var(_XY, "y")
-    shifted = MultiPoly(_XY)
-    base = x - y
-    for j, c in enumerate(b.minpoly.coeffs):
-        if c != 0:
-            shifted = shifted + base ** j * c
-    res = _mp_resultant(ay, shifted, "y").to_unipoly("x")
-    return _select_root(res, lambda: a.interval() + b.interval(), (a, b))
+    field, x, y = _aligned(a, b)
+    return _element(field, tuple(u + v for u, v in zip(x, y)))
 
 
 def _binary_mul(a, b):
-    ay = MultiPoly.from_unipoly(_XY, "y", a.minpoly)
-    m = b.minpoly.degree()
-    terms = {}
-    for j, c in enumerate(b.minpoly.coeffs):
-        if c != 0:
-            terms[(j, m - j)] = c
-    hom = MultiPoly(_XY, terms)
-    res = _mp_resultant(ay, hom, "y").to_unipoly("x")
-    a._exclude_zero()
-    b._exclude_zero()
-    return _select_root(res, lambda: a.interval() * b.interval(), (a, b))
+    field, x, y = _aligned(a, b)
+    return _element(field, field.mul(x, y))
 
 
-def _select_root(poly, target_fn, operands, extra_refine=None):
-    """Pick the unique root of poly inside the shrinking target interval."""
-    factors = factor_rational(poly)[1]
-    data = []
-    for f, _ in factors:
-        if f.degree() == 1:
-            data.append((f, None, None))
-        else:
-            data.append((f, f.sturm_sequence(), None))
+def _select_root(poly, target_fn, refine_fn):
+    """The unique root of poly inside the shrinking target interval.
+
+    A rational root comes back rational; an irrational one as the
+    generator of a new field, its irreducible factor as the modulus.
+    """
+    factors = [f for f, _ in factor_rational(poly)[1]]
+    seqs = [f.sturm_sequence() if f.degree() > 1 else None for f in factors]
     for _ in range(_MAX_REFINE):
         iv = target_fn()
         lo, hi = iv.lo, iv.hi
         hits = []
-        clean = True
-        for f, seq, _ in data:
-            if f.degree() == 1:
+        for f, seq in zip(factors, seqs):
+            if seq is None:
                 r = -f.coeff(0)
-                if r == lo or r == hi:
-                    clean = False
-                    break
-                if lo < r < hi:
-                    hits.append(("rat", r, f))
+                if lo <= r <= hi:
+                    hits.append((f, r))
             else:
-                if f(lo) == 0 or f(hi) == 0:
-                    clean = False
-                    break
-                c = f.count_roots(lo, hi, seq)
-                hits.extend(("alg", None, f) for _ in range(c))
-        if clean and len(hits) == 1:
-            kind, r, f = hits[0]
-            if kind == "rat":
-                return Alg.rational(r)
+                # no rational endpoint is a root of an irreducible factor
+                hits.extend([(f, None)] * f.count_roots(lo, hi, seq))
+        if len(hits) == 1:
+            f, r = hits[0]
+            if r is not None:
+                return Alg(r)
             return Alg._make(f, lo, hi)
-        for op in operands:
-            op.refine()
-        if extra_refine is not None:
-            extra_refine()
-    raise AssertionError("root selection did not converge")
+        refine_fn()
+    raise PreconditionViolation("root selection did not converge")
 
 
 def alg_sqrt(x):
@@ -507,12 +693,12 @@ def alg_sqrt(x):
         if r < 0:
             raise PreconditionViolation("square root of a negative value")
         if r == 0:
-            return Alg.rational(0)
+            return Alg(_ZERO)
         pn, qn = math.isqrt(r.numerator), math.isqrt(r.denominator)
         if pn * pn == r.numerator and qn * qn == r.denominator:
-            return Alg.rational(Fraction(pn, qn))
+            return Alg(Fraction(pn, qn))
         lo, hi = _sqrt_bounds(r, 32)
-        assert lo * lo != r and hi * hi != r  # dyadic square would make r one
+        # r is not a square, so no dyadic bound squares to it
         return Alg._make(UniPoly([-r, 0, 1]), lo, hi)
     if x.sign() < 0:
         raise PreconditionViolation("square root of a negative value")
@@ -520,16 +706,17 @@ def alg_sqrt(x):
     prec = [32]
 
     def target():
+        # x.sign() > 0 left the enclosure positive, and it only shrinks
         iv = x.interval()
         lo, _ = _sqrt_bounds(iv.lo, prec[0])
         _, hi = _sqrt_bounds(iv.hi, prec[0])
         return Interval(lo, hi)
 
-    def bump():
+    def refine():
+        x.refine()
         prec[0] += 16
 
-    x._exclude_zero()
-    return _select_root(doubled, target, (x,), extra_refine=bump)
+    return _select_root(doubled, target, refine)
 
 
 def isolate_real_roots(p):
@@ -539,7 +726,7 @@ def isolate_real_roots(p):
     roots = []
     for f, _ in factor_rational(p)[1]:
         if f.degree() == 1:
-            roots.append(Alg.rational(-f.coeff(0)))
+            roots.append(Alg(-f.coeff(0)))
             continue
         seq = f.sturm_sequence()
         bound = f.cauchy_bound()
@@ -553,56 +740,25 @@ def isolate_real_roots(p):
                 roots.append(Alg._make(f, a, b))
                 continue
             mid = (a + b) / 2
-            assert f(mid) != 0
+            if f(mid) == 0:
+                raise PreconditionViolation(
+                    "the irreducible factor %s vanishes at %s"
+                    % (f.render("x"), mid))
             stack.append((a, mid))
             stack.append((mid, b))
     roots.sort()
     return roots
 
 
-DEFAULT_BUDGET_BITS = 200
+def evaluate_certified(poly, point):
+    """Exact zero test of a multivariate polynomial at an algebraic point.
 
-
-def set_default_budget(bits):
-    """Set the interval-refinement budget used when callers pass none."""
-    global DEFAULT_BUDGET_BITS
-    bits = int(bits)
-    if bits < 1:
-        raise ValueError("budget must be a positive bit count")
-    DEFAULT_BUDGET_BITS = bits
-
-
-def evaluate_certified(poly, point, budget_bits=None, allow_exact=True):
-    """Certified zero test of a multivariate polynomial at an algebraic point.
-
-    Interval arithmetic with progressive refinement decides most nonzero
-    values quickly; once the enclosure is narrower than 2**-budget_bits and
-    still straddles zero, the value is recomputed with exact algebraic
-    arithmetic (or PrecisionBudgetExceeded is raised if that is disabled).
-    Returns True exactly when the value is zero.
+    The arithmetic carries the point's irrational values into their common
+    field, where the value is computed exactly.  Returns True exactly when
+    the value is zero.
     """
-    if budget_bits is None:
-        budget_bits = DEFAULT_BUDGET_BITS
-    values = {n: ensure_alg(v) for n, v in point.items()}
-    if all(v.rat is not None for v in values.values()):
-        return poly.eval({n: v.rat for n, v in values.items()}) == 0
-    threshold = Fraction(1, 1 << budget_bits)
-    for _ in range(2 * budget_bits + 64):
-        iv = poly.eval({n: v.interval() for n, v in values.items()})
-        if isinstance(iv, Fraction):
-            return iv == 0
-        if not iv.contains_zero():
-            return False
-        if iv.width() < threshold:
-            break
-        for v in values.values():
-            v.refine()
-    else:
-        pass
-    if not allow_exact:
-        raise PrecisionBudgetExceeded(
-            "interval evaluation still straddles zero", budget_bits=budget_bits
-        )
-    exact = poly.eval(values)
-    exact = ensure_alg(exact)
-    return exact.rat == 0 if exact.rat is not None else False
+    values = {}
+    for name, v in point.items():
+        v = ensure_alg(v)
+        values[name] = v.rat if v.rat is not None else v
+    return poly.eval(values) == 0

@@ -7,9 +7,9 @@ Exit codes:
   0  success
   1  bad invocation or unparsable input
   2  a documented precondition fails (cylindrical ruling, positive-
-     dimensional system, section heuristic failure, precision budget,
-     repeated factor); a structured diagnostic with a machine-readable
-     code is printed to stderr
+     dimensional system, section heuristic failure, repeated factor); a
+     structured diagnostic with a machine-readable code is printed to
+     stderr
 """
 
 import argparse
@@ -18,7 +18,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import algnum
 from .errors import ParseError, SymmetryError, ZeroDirection, ZeroInput
 from .implicit import ImplicitSurface, implicit_pipeline
 from .mesh import emit_mesh
@@ -69,10 +68,6 @@ def build_argparser():
         help="attest that the implicit polynomial is irreducible over the "
              "rationals (required in implicit mode; irreducibility itself "
              "is not checked, square-freeness is)")
-    parser.add_argument(
-        "--precision-bits", type=int, metavar="BITS",
-        help="interval-refinement budget for certified numeric comparisons "
-             "(default 200; exact fallbacks keep results correct regardless)")
     parser.add_argument(
         "--emit-mesh", metavar="PATH",
         help="also write a CSV point grid (t,s,x,y,z) for plotting")
@@ -150,13 +145,7 @@ def run(argv=None):
             parser.error("--samples values must be at least 2")
         mesh_plan = (t_range, s_range, counts)
 
-    if args.precision_bits is not None and args.precision_bits < 1:
-        parser.error("--precision-bits must be positive")
-
-    saved_budget = algnum.DEFAULT_BUDGET_BITS
     try:
-        if args.precision_bits is not None:
-            algnum.set_default_budget(args.precision_bits)
         if args.mode == "implicit":
             if args.poly is not None:
                 text = args.poly
@@ -190,8 +179,6 @@ def run(argv=None):
     except OSError as exc:
         sys.stderr.write("ruledsym: %s\n" % exc)
         return _PARSE_EXIT
-    finally:
-        algnum.set_default_budget(saved_budget)
     return 0
 
 

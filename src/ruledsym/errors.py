@@ -59,12 +59,6 @@ class HeuristicFailure(SymmetryError):
     code = "PARAM_HEURISTIC_FAILED"
 
 
-class PrecisionBudgetExceeded(SymmetryError):
-    """Interval refinement hit its budget and exact fallback was disabled."""
-
-    code = "PRECISION_BUDGET"
-
-
 class NotAnIsometry(SymmetryError):
     """A matrix that should be orthogonal is not."""
 

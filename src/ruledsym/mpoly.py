@@ -1,14 +1,13 @@
-"""Sparse multivariate polynomials and the elimination toolbox.
+"""Sparse multivariate polynomials over the rationals.
 
 Terms map exponent tuples to exact coefficients (Fraction in all solver
 paths).  Every polynomial carries a fixed tuple of variable names; mixing
 polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
-Beyond arithmetic, the module provides pseudo-remainders, an exact
-Sylvester resultant via Bareiss elimination (algebraic-number sums and
-products are built on it) and a recursive primitive-PRS gcd (the implicit
-pipeline's square-free check uses it).
+Beyond arithmetic, the module provides exact division, pseudo-remainders
+and a recursive primitive-PRS gcd (the implicit pipeline's square-free
+check uses it).
 """
 
 from fractions import Fraction
@@ -437,61 +436,6 @@ def prem(f, g, name):
     if e > 0:
         rem = rem * lg ** e
     return rem
-
-
-# ---- Sylvester resultant (Bareiss fraction-free determinant) ----
-
-def resultant(f, g, name):
-    """Exact Sylvester resultant of f and g with respect to one variable."""
-    f._check(g)
-    if f.is_zero() or g.is_zero():
-        raise ZeroInput("resultant of a zero polynomial")
-    m, n = f.degree_in(name), g.degree_in(name)
-    if m == 0 and n == 0:
-        return MultiPoly.const(f.vars, 1)
-    fc = f.as_univar(name)
-    gc = g.as_univar(name)
-    if m == 0:
-        return fc[0] ** n
-    if n == 0:
-        return gc[0] ** m
-    size = m + n
-    zero = MultiPoly(f.vars)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return _bareiss_det(rows, f.vars)
-
-
-def _bareiss_det(rows, vars):
-    n = len(rows)
-    one = MultiPoly.const(vars, 1)
-    prev = one
-    sign = 1
-    m = [row[:] for row in rows]
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return MultiPoly(vars)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = MultiPoly(vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 # ---- gcd and square-free reduction ----

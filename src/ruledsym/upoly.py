@@ -1,7 +1,7 @@
 """Dense univariate polynomials over an exact field.
 
 Coefficients are ``fractions.Fraction`` in the common case, but any exact
-field element with Python arithmetic (notably ``algnum.AlgebraicNumber``)
+field element with Python arithmetic (notably ``algnum.Alg``)
 works for the ring operations; the root-finding helpers (Sturm sequences,
 factorisation) require rational coefficients.
 

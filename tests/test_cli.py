@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from ruledsym import algnum, cli
 from ruledsym.cli import run
 
 from conftest import SURFACE_JSON
@@ -155,28 +154,6 @@ def test_mesh_emission(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,s,x,y,z"
     assert len(lines) == 1 + 50 * 20
-
-
-def test_precision_bits_threads_through(tmp_path, capsys, monkeypatch):
-    seen = []
-    real_build_report = cli.build_report
-
-    def recording_build_report(surface, mode):
-        seen.append(algnum.DEFAULT_BUDGET_BITS)
-        return real_build_report(surface, mode)
-
-    monkeypatch.setattr(cli, "build_report", recording_build_report)
-    rc, captured = run_json(
-        capsys,
-        ["--input", write_input(tmp_path, "x6"), "--precision-bits", "64"])
-    assert rc == 0
-    assert seen == [64]
-    assert json.loads(captured.out)["count"] == 2
-    # the budget is restored for the next in-process call
-    assert algnum.DEFAULT_BUDGET_BITS == 200
-    rc, _ = run_json(capsys, ["--input", write_input(tmp_path, "x6")])
-    assert rc == 0
-    assert seen == [64, 200]
 
 
 def test_module_entry_point(tmp_path):

@@ -9,7 +9,6 @@ from ruledsym.mpoly import (
     exact_div,
     mp_gcd,
     prem,
-    resultant,
 )
 from ruledsym.upoly import UniPoly
 
@@ -102,53 +101,6 @@ def _poly_divmod_in_t(f, g):
     # not available here, so check divisibility via prem with unit adjustments
     r = prem(f, g, "t")
     return None, r if not r.is_zero() else MultiPoly(f.vars)
-
-
-def test_resultant_linear_pair():
-    t = MultiPoly.var(V3, "t")
-    a = MultiPoly.var(V3, "a")
-    b = MultiPoly.var(V3, "b")
-    assert resultant(t - a, t - b, "t") == a - b
-
-
-def test_resultant_classic_values():
-    vars = ("t", "k")
-    t = MultiPoly.var(vars, "t")
-    k = MultiPoly.var(vars, "k")
-    assert resultant(t ** 2 - 2, t - k, "t") == k ** 2 - 2
-    vars2 = ("x", "y")
-    x = MultiPoly.var(vars2, "x")
-    y = MultiPoly.var(vars2, "y")
-    assert resultant(x ** 2 + y ** 2 - 1, x - y, "x") == 2 * y ** 2 - 1
-
-
-def test_resultant_against_sympy_random():
-    rng = random.Random(29)
-    vars = ("t", "a")
-    syms = sympy.symbols("t a")
-    t = MultiPoly.var(vars, "t")
-    for _ in range(25):
-        f = rand_poly(rng, vars, 3, 4) + t ** rng.randint(1, 3)
-        g = rand_poly(rng, vars, 3, 4) + t ** rng.randint(1, 3)
-        if f.degree_in("t") < 1 or g.degree_in("t") < 1:
-            continue
-        ours = resultant(f, g, "t")
-        theirs = sympy.resultant(to_sympy(f, syms), to_sympy(g, syms), syms[0])
-        assert to_sympy(ours, syms) - sympy.expand(theirs) == 0
-
-
-def test_resultant_vanishes_iff_common_root():
-    vars = ("t", "a")
-    t = MultiPoly.var(vars, "t")
-    a = MultiPoly.var(vars, "a")
-    f = (t - a) * (t + 2)
-    g = (t - a) * (t - 5)
-    assert resultant(f, g, "t").is_zero()
-    h = (t - 1) * (t + 1)
-    r = resultant(f, h, "t")
-    # vanishes exactly at the parameter values that create a shared root
-    ru = r.to_unipoly("a")
-    assert ru(Fraction(1)) == 0 and ru(Fraction(-1)) == 0 and ru(Fraction(2)) != 0
 
 
 def test_mp_gcd_and_squarefree():

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,3 +151,49 @@ def test_report_accepts_plain_subject():
     doc = rep.to_dict()
     assert doc["surface"] == {"polynomial": "x^2"}
     assert doc["count"] == 0
+
+
+# sha256 of build_report(surface, "all").to_json() for every corpus surface
+# that yields a report (the cylinder is rejected).  Any byte-level drift in
+# a report, from arithmetic to encoding, changes one of these.
+REPORT_SHA256 = {
+    "golden": "e89b24381e08bdb6630ecb8db1d77fc34e47d5e9fc9e1d3b6f766842b13fb2b4",
+    "x2": "503ff8f5ef4f60137b9220c77f80d0d14b80651897e4bbc878d5449dc9682d3c",
+    "x3": "333811cee5e4da5a75008e95c8cd254ca6e0eee9d75a2945c1bbbecc6976dc5d",
+    "x4": "e8e52b89ef60bbb8eb85da532b94c06a9cb9c1341b1f58d06622f523e741b7e1",
+    "x5": "371b663bda98e05280e69cf92f9d9c24f5c10b7a325f02a133b719ea65e67a94",
+    "x6": "b868b3bbcda33c334604238aebd66788ce9525916a7c824a0bb3b5a3c30b9fe7",
+    "x7": "60ce9b9c9fccdf26ed78f9117a64aa9a2ebc47c4c1ff690703beb044bbee5c4d",
+    "x8": "3097b533b8a3c4b5649bea6aa0f1ac7ede93ea440942130a05ea0134a62c8523",
+    "x9": "76af3874db5c89f1d08369e4fb1f282375ad672b412b2c04140413a2256910ba",
+    "x10": "9c51f50f3054c0b193cbcf772dec79ac5c7f3da1e643a2bc235eb2d0300c12a4",
+    "cone_x2": "6acc1a08bab26a7c7a730204023caee6af305d92d9a5cb9d2938ae704a1ca2c8",
+    "linear_q": "aa98a9160cab31aa921002001e9bc0110fc9a7a9c635b3b2c4b773204c2dffd2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(corpus, name):
+    text = build_report(corpus[name], "all").to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+def test_report_bytes_survive_optimized_mode(corpus):
+    # with asserts compiled away (python -O) every check that guards the
+    # arithmetic must still run, so the report keeps its bytes
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from conftest import SURFACE_JSON\n"
+        "from ruledsym.report import build_report\n"
+        "from ruledsym.surface import surface_from_json\n"
+        "surface = surface_from_json(SURFACE_JSON['cone_x2'])\n"
+        "sys.stdout.write(build_report(surface, 'all').to_json())\n"
+    ) % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == build_report(corpus["cone_x2"], "all").to_json()
