@@ -19,6 +19,8 @@ in the tensor product F (x) G has full degree, is found by linear algebra,
 which also writes theta_F and theta_G as polynomials in phi.  The factor of
 that polynomial whose root is phi's real value defines the common field.
 Each pair of fields is joined once; the result is cached on the fields.
+common_field folds the joins of a list of values into one field and gives
+each value's coordinates there.
 
 Numeric data is computed only when asked: an enclosing interval by
 evaluating the coordinates on theta's interval (refined by bisection), the
@@ -222,6 +224,44 @@ class NumberField:
         while len(out) < count:
             out.append(self.mul(out[-1], a))
         return out
+
+    def element(self, coords):
+        """The value with these coordinates (a Fraction when constant)."""
+        if any(coords[1:]):
+            return _irrational(self, tuple(coords))
+        return coords[0]
+
+
+def common_field(values):
+    """The common field K of the irrational values, and each value's
+    coordinates in K.
+
+    K is folded from pairwise joins; each join's embedding of the running
+    field is composed into the tables of the fields already absorbed, so no
+    field is joined twice and K is one field object.  When every value is
+    rational, K is None and each value's coordinates are (value,).
+    """
+    field, tables = None, {}
+    for v in values:
+        f = v.field if isinstance(v, Alg) else None
+        if f is None or f in tables:
+            continue
+        joined, into_old, into_new = \
+            (f, None, None) if field is None else field.join(f)
+        if into_old is not None:
+            for g, t in tables.items():
+                tables[g] = into_old if t is None else \
+                    [_lift(row, into_old) for row in t]
+        tables[f], field = into_new, joined
+    degree = 1 if field is None else field.degree
+    out = []
+    for v in values:
+        v = ensure_alg(v)
+        if v.rat is not None:
+            out.append((v.rat,) + (_ZERO,) * (degree - 1))
+        else:
+            out.append(_lift(v.coords, tables[v.field]))
+    return field, out
 
 
 def _lift(coords, table):

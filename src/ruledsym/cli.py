@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Parses a surface (or an implicit polynomial), dispatches the requested
-mode, prints the JSON report, and optionally writes a plotting mesh.
+Parses a surface (or an implicit polynomial, whose irreducibility over the
+rationals implicit mode checks), dispatches the requested mode, prints the
+JSON report, and optionally writes a plotting mesh.
 
 Exit codes:
   0  success
   1  bad invocation or unparsable input
   2  a documented precondition fails (cylindrical ruling, positive-
-     dimensional system, section heuristic failure, repeated factor); a
-     structured diagnostic with a machine-readable code is printed to
-     stderr
+     dimensional system, section heuristic failure, an implicit polynomial
+     that is not irreducible over the rationals); a structured diagnostic
+     with a machine-readable code is printed to stderr
 """
 
 import argparse
@@ -64,11 +65,6 @@ def build_argparser():
         "--poly", metavar="TEXT",
         help="inline defining polynomial in x, y, z (implicit mode only)")
     parser.add_argument(
-        "--assume-irreducible", action="store_true",
-        help="attest that the implicit polynomial is irreducible over the "
-             "rationals (required in implicit mode; irreducibility itself "
-             "is not checked, square-freeness is)")
-    parser.add_argument(
         "--emit-mesh", metavar="PATH",
         help="also write a CSV point grid (t,s,x,y,z) for plotting")
     parser.add_argument(
@@ -122,10 +118,6 @@ def run(argv=None):
     if args.mode == "implicit":
         if args.input is None and args.poly is None:
             parser.error("implicit mode needs --poly or --input")
-        if not args.assume_irreducible:
-            parser.error("implicit mode requires --assume-irreducible: "
-                         "the method is only complete for irreducible "
-                         "surfaces, and irreducibility is not checked")
         if args.emit_mesh:
             parser.error("--emit-mesh applies to parametric surface modes")
     else:

@@ -66,6 +66,6 @@ class NotAnIsometry(SymmetryError):
 
 
 class PreconditionViolation(SymmetryError):
-    """Input violates a documented precondition (e.g. a non-square-free form)."""
+    """Input violates a documented precondition (e.g. it is reducible)."""
 
     code = "PRECONDITION_VIOLATION"

@@ -2,12 +2,15 @@
 
 For an irreducible surface F = 0 of total degree N, every symmetry
 x -> Qx + b forces Qx to be a symmetry of the cone cut out by the sum of
-the degree-N monomials of F.  That cone passes through the origin, so its
+the degree-N monomials of F.  Irreducibility over Q is checked first, by
+one exact factorisation.  The cone passes through the origin, so its
 symmetries can be computed with the ruled-surface machinery once a conical
 parametrization s*r(t) is found by slicing with a coordinate plane.  Each
 orthogonal part Q harvested from the cone is then lifted back to the full
 surface by matching the coefficients of F(Qx + b) against a scalar multiple
-of F, which yields every admissible translation exactly.
+of F, which yields every admissible translation exactly.  Irrational
+entries of Q are carried as coordinates in their common number field, and
+every lift is certified by exact substitution in that field.
 
 The cone always admits the central inversion, so -I is among the lifted
 candidates; central symmetries of F = 0 found this way are reported with a
@@ -17,17 +20,17 @@ them the way it does for rotations and reflections.
 
 from fractions import Fraction
 
-from .algnum import Alg, ensure_alg
+from .algnum import Alg, common_field, ensure_alg
 from .errors import (
     HeuristicFailure,
     PositiveDimensional,
     PreconditionViolation,
     ZeroInput,
 )
-from .mpoly import MultiPoly, mp_gcd, project
+from .mpoly import MultiPoly, project
 from .ratfunc import RatFunc
 from .surface import RuledSurface
-from .solver import solve_zero_dim
+from .solver import solve_zero_dim, sympy_poly
 
 _XYZ = ("x", "y", "z")
 
@@ -60,22 +63,18 @@ def highest_form(surface):
 
 
 def sanity_check(surface):
-    """Cheap necessary conditions for irreducibility; raises when violated.
+    """Raise PreconditionViolation unless F is irreducible over Q.
 
-    Full multivariate factorization is out of scope, so irreducibility is
-    caller-asserted; a repeated factor, however, is detectable from the
-    gcd with the partial derivatives and refutes the assertion outright.
+    One exact factorisation over Q (sympy's multivariate factorisation,
+    Wang's EEZ algorithm) must find exactly one non-constant factor, of
+    multiplicity one; the error details list the factors otherwise.
     """
-    F = surface.F
-    g = F
-    for v in _XYZ:
-        d = F.derivative(v)
-        if not d.is_zero():
-            g = mp_gcd(g, d)
-    if g.total_degree() > 0:
+    _, factors = sympy_poly(surface.F).factor_list()
+    if len(factors) != 1 or factors[0][1] != 1:
         raise PreconditionViolation(
-            "the polynomial has a repeated factor, so it is not irreducible",
-            factor=g.render())
+            "the polynomial is not irreducible over the rationals",
+            factors="; ".join("(%s)^%d" % (f.as_expr(), m)
+                              for f, m in factors))
 
 
 _SECTION_VALUES = (Fraction(1), Fraction(2), Fraction(-1),
@@ -157,100 +156,39 @@ def compose_coordinates(F, images):
     return total
 
 
-def _matrix_field(q):
-    """Split Q into rational data, optionally over one quadratic radical.
-
-    Returns ("rational", rows) when every entry is rational, with rows of
-    Fractions; otherwise ("quadratic", rows, theta, d) where each entry is
-    r0 + r1*theta with theta^2 = d rational, and rows hold (r0, r1) pairs.
-    """
-    flat = [q[i][j] for i in range(3) for j in range(3)]
-    rats = []
-    theta = None
-    for e in flat:
-        r = e.rat if isinstance(e, Alg) else Fraction(e)
-        if r is None and theta is None:
-            theta = e
-        rats.append(r)
-    if theta is None:
-        rows = [[rats[3 * i + j] for j in range(3)] for i in range(3)]
-        return ("rational", rows)
-    square = theta * theta
-    d = square.rat if isinstance(square, Alg) else Fraction(square)
-    if d is None:
-        raise HeuristicFailure(
-            "matrix entries lie outside a single quadratic extension")
-    pairs = []
-    for e, r in zip(flat, rats):
-        if r is not None:
-            pairs.append((r, Fraction(0)))
-            continue
-        ratio = ensure_alg(e) / theta
-        if ratio.rat is not None:
-            pairs.append((Fraction(0), ratio.rat))
-            continue
-        raise HeuristicFailure(
-            "matrix entries lie outside a single quadratic extension")
-    rows = [[pairs[3 * i + j] for j in range(3)] for i in range(3)]
-    return ("quadratic", rows, theta, d)
-
-
 def lift_symmetry(surface, q):
     """All translations b with F(Qx + b) = lambda*F(x), as (b, lambda) pairs.
 
     The identity is matched coefficient by coefficient with b and lambda
     indeterminate, and the resulting zero-dimensional system is solved
     exactly; an empty list means Q does not extend to a symmetry of the
-    full surface.
+    full surface.  When Q's entries are irrational, each is written as its
+    coordinate polynomial in the generator theta of their common field K,
+    theta joins the unknowns with K's modulus as one more equation, and
+    only the points with theta equal to K's generator are kept.
     """
-    field = _matrix_field(q)
+    field, coords = common_field([q[i][j] for i in range(3) for j in range(3)])
     unknowns = ("b1", "b2", "b3", "lam")
-    extension = () if field[0] == "rational" else ("theta",)
+    extension = () if field is None else ("theta",)
     vars = _XYZ + unknowns + extension
-    const = lambda c: MultiPoly.const(vars, c)
-    if field[0] == "rational":
-        entries = [[const(field[1][i][j]) for j in range(3)] for i in range(3)]
-        extra_eqs = []
-    else:
-        th = MultiPoly.var(vars, "theta")
-        entries = [[const(field[1][i][j][0]) + const(field[1][i][j][1]) * th
-                    for j in range(3)] for i in range(3)]
-        extra_eqs = [th * th - const(field[3])]
-    coords = [MultiPoly.var(vars, w) for w in _XYZ]
-    images = {}
-    for i, w in enumerate(_XYZ):
-        img = MultiPoly.var(vars, ("b1", "b2", "b3")[i])
-        for j in range(3):
-            img = img + entries[i][j] * coords[j]
-        images[w] = img
-    big = project(surface.F, vars)
-    moved = compose_coordinates(big, images)
-    lam = MultiPoly.var(vars, "lam")
-    residual = moved - lam * big
+    powers = [MultiPoly.const(vars, 1)] + [
+        MultiPoly.var(vars, "theta", k) for k in range(1, len(coords[0]))]
+    entries = [sum((p * c for c, p in zip(cs, powers)), MultiPoly(vars))
+               for cs in coords]
+    shifts = [MultiPoly.var(vars, nm) for nm in unknowns[:3]]
+    residual = _residual(project(surface.F, vars), entries, shifts,
+                         MultiPoly.var(vars, "lam"))
     reduced_vars = unknowns + extension
-    equations = [project(e, reduced_vars) for e in extra_eqs]
-    for coeff in _coefficients_in(residual, _XYZ):
-        if not coeff.is_zero():
-            equations.append(project(coeff, reduced_vars))
-    points = solve_zero_dim(equations, reduced_vars)
-    out = []
-    for point in points:
-        if field[0] == "quadratic":
-            if ensure_alg(point["theta"]) != ensure_alg(field[2]):
-                continue
-        b = tuple(point[nm] for nm in ("b1", "b2", "b3"))
-        out.append((b, point["lam"]))
-    out.sort(key=lambda pair: tuple(_float_key(x)
-                                    for x in pair[0] + (pair[1],)))
-    return out
-
-
-def _float_key(v):
-    if isinstance(v, Alg):
-        v.refine_below(Fraction(1, 1 << 40))
-        iv = v.interval()
-        return float((iv.lo + iv.hi) / 2)
-    return float(v)
+    equations = [] if field is None else [
+        MultiPoly.from_unipoly(vars, "theta", field.modulus)]
+    equations += [coeff for coeff in _coefficients_in(residual, _XYZ)
+                  if not coeff.is_zero()]
+    points = solve_zero_dim([project(e, reduced_vars) for e in equations],
+                            reduced_vars)
+    if field is not None:
+        generator = field.element(field.gen)
+        points = [p for p in points if p["theta"] == generator]
+    return [(tuple(p[nm] for nm in unknowns[:3]), p["lam"]) for p in points]
 
 
 def _coefficients_in(poly, names):
@@ -269,75 +207,30 @@ def _coefficients_in(poly, names):
 
 
 def substitution_residual(surface, q, b, lam):
-    """F(Qx+b) - lambda*F as an exact polynomial, over Q or Q(theta).
+    """F(Qx+b) - lambda*F as an exact polynomial over (x, y, z).
 
-    Entries of q, b and lam may be rational or lie in one common quadratic
-    extension; the residual is returned as a MultiPoly over (x, y, z) plus
-    possibly theta, already reduced so that it is zero exactly when the
-    symmetry identity holds.
+    Rational values stay Fractions; irrational ones become elements of the
+    values' common field, so every coefficient is computed exactly there
+    and the residual is zero exactly when the symmetry identity holds.
     """
-    flatq = [q[i][j] for i in range(3) for j in range(3)]
-    values = flatq + list(b) + [lam]
-    theta = None
-    for v in values:
-        if isinstance(v, Alg) and v.rat is None:
-            theta = v
-            break
-    if theta is None:
-        vars = _XYZ
-        rep = {id(v): MultiPoly.const(vars, _to_fraction(v)) for v in values}
-    else:
-        square = theta * theta
-        d = square.rat if isinstance(square, Alg) else Fraction(square)
-        if d is None:
-            raise HeuristicFailure(
-                "values lie outside a single quadratic extension")
-        vars = _XYZ + ("theta",)
-        th = MultiPoly.var(vars, "theta")
-        rep = {}
-        for v in values:
-            r = v.rat if isinstance(v, Alg) else Fraction(v)
-            if r is not None:
-                rep[id(v)] = MultiPoly.const(vars, r)
-                continue
-            ratio = ensure_alg(v) / theta
-            if ratio.rat is None:
-                raise HeuristicFailure(
-                    "values lie outside a single quadratic extension")
-            rep[id(v)] = th * MultiPoly.const(vars, ratio.rat)
-    big = project(surface.F, vars)
-    coords = [MultiPoly.var(vars, w) for w in _XYZ]
+    field, coords = common_field(
+        [q[i][j] for i in range(3) for j in range(3)] + list(b) + [lam])
+    values = [c[0] if field is None else field.element(c) for c in coords]
+    polys = [MultiPoly.const(_XYZ, v) for v in values]
+    return _residual(surface.F, polys[:9], polys[9:12], polys[12])
+
+
+def _residual(F, entries, shifts, lam):
+    """F(Qx + b) - lam*F, with Q's entries (row by row), b and lam given as
+    polynomials in F's variable space."""
+    coords = [MultiPoly.var(F.vars, w) for w in _XYZ]
     images = {}
     for i, w in enumerate(_XYZ):
-        img = rep[id(values[9 + i])]
+        img = shifts[i]
         for j in range(3):
-            img = img + rep[id(flatq[3 * i + j])] * coords[j]
+            img = img + entries[3 * i + j] * coords[j]
         images[w] = img
-    residual = compose_coordinates(big, images) - rep[id(values[12])] * big
-    if theta is not None:
-        residual = _reduce_theta(residual, d)
-    return residual
-
-
-def _to_fraction(v):
-    if isinstance(v, Alg):
-        return v.rat
-    return Fraction(v)
-
-
-def _reduce_theta(poly, d):
-    """Replace theta^2 by the rational d throughout."""
-    i = poly.vars.index("theta")
-    out = {}
-    for exp, c in poly.terms.items():
-        e = exp[i]
-        coeff = c * d ** (e // 2)
-        new = list(exp)
-        new[i] = e % 2
-        key = tuple(new)
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return MultiPoly(poly.vars, out)
+    return compose_coordinates(F, images) - lam * F
 
 
 def substitution_holds(surface, q, b, lam):
@@ -390,8 +283,8 @@ def detect_revolution_axis(cone):
 def implicit_pipeline(surface, plane=None):
     """Full report for an implicit surface: cone symmetries lifted to F.
 
-    ``surface`` is an ImplicitSurface whose irreducibility the caller
-    asserts; ``plane`` optionally forces the section plane used to
+    ``surface`` is an ImplicitSurface, checked to be irreducible over Q
+    first; ``plane`` optionally forces the section plane used to
     parametrize the highest-order form.
     """
     from .isometry import Isometry, symmetries, _sort_key, identity3, \

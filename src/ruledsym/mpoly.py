@@ -1,18 +1,18 @@
 """Sparse multivariate polynomials over the rationals.
 
 Terms map exponent tuples to exact coefficients (Fraction in all solver
-paths).  Every polynomial carries a fixed tuple of variable names; mixing
+paths; the implicit substitution residual also carries number-field
+elements).  Every polynomial carries a fixed tuple of variable names; mixing
 polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
-Beyond arithmetic, the module provides exact division, pseudo-remainders
-and a recursive primitive-PRS gcd (the implicit pipeline's square-free
-check uses it).
+The module provides arithmetic, evaluation, substitution and univariate
+views; it has no division or gcd (exact elimination and factorisation go
+through sympy, see solver.sympy_poly).
 """
 
 from fractions import Fraction
 
-from .errors import ZeroInput
 from .upoly import UniPoly, frac_gcd
 
 
@@ -236,21 +236,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def derivative(self, name):
-        i = self.vars.index(name)
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            key = tuple(new)
-            prev = out.get(key)
-            add = c * e
-            out[key] = add if prev is None else prev + add
-        return MultiPoly(self.vars, out)
-
     # ---- univariate views ----
 
     def as_univar(self, name):
@@ -264,21 +249,6 @@ class MultiPoly:
             new[i] = 0
             buckets[e][tuple(new)] = c
         return [MultiPoly(self.vars, b) for b in buckets]
-
-    @classmethod
-    def from_univar(cls, coeffs, name):
-        if not coeffs:
-            raise ZeroInput("empty coefficient list")
-        vars = coeffs[0].vars
-        i = vars.index(name)
-        terms = {}
-        for k, cp in enumerate(coeffs):
-            for exp, c in cp.terms.items():
-                assert exp[i] == 0
-                new = list(exp)
-                new[i] = k
-                terms[tuple(new)] = c
-        return cls(vars, terms)
 
     def to_unipoly(self, name):
         """Conversion when no other variable occurs."""
@@ -348,41 +318,6 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.render()
 
 
-# ---- division, pseudo-division ----
-
-def exact_div(f, g):
-    """Exact multivariate division; raises if g does not divide f."""
-    f._check(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return f
-    if g.is_constant():
-        inv = 1 / g.const_value()
-        return f * inv
-    quot = {}
-    rem = dict(f.terms)
-    g_lead = max(g.terms)
-    g_lc = g.terms[g_lead]
-    g_items = list(g.terms.items())
-    while rem:
-        f_lead = max(rem)
-        diff = tuple(a - b for a, b in zip(f_lead, g_lead))
-        if any(d < 0 for d in diff):
-            raise ValueError("inexact multivariate division")
-        c = rem[f_lead] / g_lc
-        prev = quot.get(diff)
-        quot[diff] = c if prev is None else prev + c
-        for ge, gc in g_items:
-            key = tuple(a + b for a, b in zip(diff, ge))
-            v = rem.get(key, Fraction(0)) - c * gc
-            if v == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = v
-    return MultiPoly(f.vars, quot)
-
-
 def project(p, new_vars):
     """Re-express a polynomial on another variable tuple.
 
@@ -401,85 +336,3 @@ def project(p, new_vars):
                 new[j] = e
         terms[tuple(new)] = c
     return MultiPoly(new_vars, terms)
-
-
-def prem(f, g, name):
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g, in one variable."""
-    f._check(g)
-    df, dg = f.degree_in(name), g.degree_in(name)
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero in %s" % name)
-    if df < dg:
-        return f
-    i = f.vars.index(name)
-    gc = g.as_univar(name)
-    lg = gc[-1]
-    r = f.as_univar(name)
-    e = df - dg + 1
-    while len(r) - 1 >= dg and any(not c.is_zero() for c in r):
-        while r and r[-1].is_zero():
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        lr = r[-1]
-        dr = len(r) - 1
-        # r <- lg * r - lr * x^(dr-dg) * g
-        new = [lg * c for c in r[:-1]]
-        shift = dr - dg
-        for k in range(dg):
-            new[shift + k] = new[shift + k] - lr * gc[k]
-        r = new
-        e -= 1
-    while r and r[-1].is_zero():
-        r.pop()
-    rem = MultiPoly(f.vars) if not r else MultiPoly.from_univar(r, name)
-    if e > 0:
-        rem = rem * lg ** e
-    return rem
-
-
-# ---- gcd and square-free reduction ----
-
-def mp_gcd(f, g):
-    """Recursive primitive-PRS gcd, normalised (positive rational content 1)."""
-    if f.is_zero():
-        return g.normalized()
-    if g.is_zero():
-        return f.normalized()
-    used = f.used_vars() | g.used_vars()
-    if not used:
-        return MultiPoly.const(f.vars, 1)
-    name = sorted(used)[0]
-
-    def content_and_primitive(p):
-        coeffs = [c for c in p.as_univar(name) if not c.is_zero()]
-        cont = coeffs[0]
-        for c in coeffs[1:]:
-            cont = mp_gcd(cont, c)
-            if cont.is_constant():
-                break
-        cont = cont.normalized()
-        return cont, exact_div(p, cont)
-
-    if f.degree_in(name) == 0:
-        cont_g, _ = content_and_primitive(g)
-        return mp_gcd(f, cont_g)
-    if g.degree_in(name) == 0:
-        cont_f, _ = content_and_primitive(f)
-        return mp_gcd(cont_f, g)
-
-    cf, pf = content_and_primitive(f)
-    cg, pg = content_and_primitive(g)
-    cont = mp_gcd(cf, cg)
-    a, b = (pf, pg) if pf.degree_in(name) >= pg.degree_in(name) else (pg, pf)
-    while True:
-        r = prem(a, b, name)
-        if r.is_zero():
-            break
-        if r.degree_in(name) == 0:
-            b = MultiPoly.const(f.vars, 1)
-            break
-        _, r = content_and_primitive(r)
-        a, b = b, r
-    _, b = content_and_primitive(b)
-    return (cont * b).normalized()

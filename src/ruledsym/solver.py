@@ -49,15 +49,11 @@ def _sym(name):
     return _SYMBOLS[name]
 
 
-def _to_expr(e):
-    total = sympy.Integer(0)
-    for exp, c in e.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for name, p in zip(e.vars, exp):
-            if p:
-                term *= _sym(name) ** p
-        total += term
-    return total
+def sympy_poly(e):
+    """A rational MultiPoly as a sympy Poly over QQ, from its exponent dict."""
+    # from_dict converts the coefficients of the dict it is given in place
+    return sympy.Poly.from_dict(dict(e.terms), [_sym(v) for v in e.vars],
+                                domain="QQ")
 
 
 def _clean(equations):
@@ -96,7 +92,7 @@ def _cover(eqs, var, eliminate_vars):
     finite (the ideal meets the ring of the single variable trivially).
     """
     order = [_sym(w) for w in eliminate_vars] + [_sym(var)]
-    basis = sympy.groebner([_to_expr(e) for e in eqs], *order, order="lex")
+    basis = sympy.groebner([sympy_poly(e) for e in eqs], *order, order="lex")
     return _univariate(basis, var)
 
 
@@ -164,12 +160,12 @@ def _solve_core(eqs, core, unknowns, nonzero):
     for f in factors:
         real_part = real_part * f
     space = eqs[0].vars
-    gens = [_to_expr(e) for e in eqs]
-    gens.append(_to_expr(MultiPoly.from_unipoly(space, v, real_part)))
+    gens = [sympy_poly(e) for e in eqs]
+    gens.append(sympy_poly(MultiPoly.from_unipoly(space, v, real_part)))
     order = [_sym(w) for w in others]
     if nonzero is not None:
         u = sympy.Dummy("u")
-        gens.append(u * _to_expr(nonzero) - 1)
+        gens.append(u * sympy_poly(nonzero).as_expr() - 1)
         order.append(u)
     order.append(_sym(v))
     basis = sympy.groebner(gens, *order, order="lex")

@@ -10,6 +10,7 @@ Coefficients are stored dense and ascending: ``UniPoly([1, 0, 2])`` is
 degree -1.
 """
 
+import functools
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -203,15 +204,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def reversed_coeffs(self, degree=None):
-        """x^d * p(1/x) for d = degree (defaults to deg p)."""
-        d = self.degree() if degree is None else degree
-        assert d >= self.degree()
-        out = [Fraction(0)] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return UniPoly(out)
-
     # ---- content / gcd ----
 
     def content(self):
@@ -326,9 +318,8 @@ class UniPoly:
 
 # ---- sympy-backed factorisation over Q (cached) ----
 
-_factor_cache = {}
 
-
+@functools.lru_cache(maxsize=1024)
 def factor_rational(p):
     """Factor a rational-coefficient polynomial over Q.
 
@@ -336,14 +327,8 @@ def factor_rational(p):
     with leading_unit a Fraction so that the product reconstructs p.
     """
     assert isinstance(p, UniPoly) and not p.is_zero()
-    key = p.coeffs
-    hit = _factor_cache.get(key)
-    if hit is not None:
-        return hit
     if p.degree() == 0:
-        result = (p.coeffs[0], [])
-        _factor_cache[key] = result
-        return result
+        return (p.coeffs[0], [])
     from sympy import Poly, Rational, Symbol
 
     tsym = Symbol("t")
@@ -357,9 +342,7 @@ def factor_rational(p):
         fp = UniPoly(coeffs).monic()
         out.append((fp, int(mult)))
     out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-    result = (unit, out)
-    _factor_cache[key] = result
-    return result
+    return (unit, out)
 
 
 def poly_gcd(a, b):

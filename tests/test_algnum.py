@@ -11,6 +11,7 @@ from ruledsym.algnum import (
     Alg,
     Interval,
     alg_sqrt,
+    common_field,
     ensure_alg,
     evaluate_certified,
     isolate_real_roots,
@@ -141,6 +142,19 @@ def test_joins_are_computed_once_per_pair_of_fields():
     assert r2.field.join(r3.field) is joined
     assert r3.field.join(r2.field)[0] is joined[0]
     assert (r2 * r3).field is joined[0]
+
+
+def test_common_field_folds_three_fields_into_one():
+    values = [sqrt_of(2), Fraction(1, 2), sqrt_of(3), sqrt_of(5), sqrt_of(8)]
+    field, coords = common_field(values)
+    assert field.degree == 8
+    assert all(len(c) == 8 for c in coords)
+    assert coords[1] == (Fraction(1, 2),) + (Fraction(0),) * 7
+    # every value is recovered from its coordinates in the one field
+    for v, c in zip(values, coords):
+        assert field.element(c) == v
+    assert isinstance(field.element(coords[1]), Fraction)
+    assert common_field([Fraction(2), Alg(3)]) == (None, [(2,), (3,)])
 
 
 def test_isolate_real_roots():

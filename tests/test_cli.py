@@ -102,9 +102,6 @@ def test_bad_polynomial_is_parse_error(tmp_path, capsys):
 
 def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
-        run(["--mode", "implicit", "--poly", "x^2 + y^2 + z"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
         run([])
     assert info.value.code == 1
     with pytest.raises(SystemExit) as info:
@@ -121,7 +118,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 def test_implicit_mode(capsys):
     rc, captured = run_json(
         capsys,
-        ["--mode", "implicit", "--poly", EXAMPLE_POLY, "--assume-irreducible"])
+        ["--mode", "implicit", "--poly", EXAMPLE_POLY])
     assert rc == 0
     doc = json.loads(captured.out)
     assert doc["mode"] == "implicit"
@@ -138,9 +135,19 @@ def test_implicit_mode(capsys):
 def test_implicit_input_file(tmp_path, capsys):
     path = write_input(tmp_path, "poly", {"polynomial": "x^3 - 27*y*z^2"})
     rc, captured = run_json(
-        capsys, ["--mode", "implicit", "--input", path, "--assume-irreducible"])
+        capsys, ["--mode", "implicit", "--input", path])
     assert rc == 0
     assert json.loads(captured.out)["count"] == 4
+
+
+def test_reducible_implicit_input_exits_two(capsys):
+    rc, captured = run_json(
+        capsys,
+        ["--mode", "implicit", "--poly", "(x^2 + y^2 + z^2 - 1)*(x + y + z)"])
+    assert rc == 2
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "PRECONDITION_VIOLATION"
+    assert "x + y + z" in error["details"]["factors"]
 
 
 def test_mesh_emission(tmp_path, capsys):
@@ -159,7 +166,7 @@ def test_mesh_emission(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ruledsym.cli", "--mode", "implicit",
-         "--poly", "x*y + x*z + y*z", "--assume-irreducible"],
+         "--poly", "x*y + x*z + y*z"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

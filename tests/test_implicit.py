@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ruledsym import implicit as implicit_module
+from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import HeuristicFailure, PreconditionViolation, ZeroInput
 from ruledsym.implicit import (
     ImplicitSurface,
@@ -21,6 +22,8 @@ from ruledsym.upoly import UniPoly
 XYZ = ("x", "y", "z")
 EXAMPLE = "x^6 + y^5*z + 6*x^5 + 14*x^4 + 16*x^3 + 8*x^2 + z^2"
 ODD_CONE = "x^3 - 27*y*z^2"
+THREE_FOLD = "(x^3 - 3*x*y^2)*z + (x^2 + y^2)^2"
+SPHERE = "x^2 + y^2 + z^2 - 1"
 
 
 def implicit(text):
@@ -58,6 +61,10 @@ def test_sanity_check_refutes_repeated_factors():
         sanity_check(implicit("(x + y)^2"))
     with pytest.raises(PreconditionViolation):
         sanity_check(implicit("(x^2 + y^2 + z^2)^2"))
+    # a product of two distinct irreducible factors, named in the details
+    with pytest.raises(PreconditionViolation) as info:
+        sanity_check(implicit("(%s)*(x + y + z)" % SPHERE))
+    assert "x + y + z" in info.value.details["factors"]
 
 
 def test_parametrize_default_section():
@@ -195,3 +202,47 @@ def test_axis_detection_propagates_solver_faults(monkeypatch):
     cone = parametrize_highest_form(mp("x*y + x*z + y*z"))
     with pytest.raises(RuntimeError):
         detect_revolution_axis(cone)
+
+
+def matmul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), Fraction(0))
+                       for j in range(3)) for i in range(3))
+
+
+def turn_z(c, s):
+    return ((c, -s, 0), (s, c, 0), (0, 0, 1))
+
+
+def turn_x(c, s):
+    return ((1, 0, 0), (0, c, -s), (0, s, c))
+
+
+def test_irrational_lifts_in_the_common_field():
+    half_sqrt2, half_sqrt3 = alg_sqrt(2) / 2, alg_sqrt(3) / 2
+    thirty = turn_z(half_sqrt3, Fraction(1, 2))
+    matrices = [
+        # a rational turn after a 30 degree turn: entries a + b*sqrt(3) that
+        # are not multiples of one radical
+        matmul(turn_z(Fraction(3, 5), Fraction(4, 5)), thirty),
+        # entries over Q(sqrt 2, sqrt 3)
+        matmul(thirty, turn_x(half_sqrt2, half_sqrt2)),
+    ]
+    sphere = implicit(SPHERE)
+    for q in matrices:
+        assert substitution_holds(sphere, q, (0, 0, 0), Fraction(1))
+        assert not substitution_holds(sphere, q, (1, 0, 0), Fraction(1))
+        assert lift_symmetry(sphere, q) == [((0, 0, 0), 1)]
+
+
+def test_three_fold_cone_lifts():
+    rep = implicit_pipeline(implicit(THREE_FOLD))
+    assert kind_counts(rep) == {
+        "identity": 1,
+        "reflection": 3,
+        "axial_rotation": 3,
+        "rotation": 2,
+        "rotoreflection": 2,
+        "central_inversion": 1,
+    }
+    rep = implicit_pipeline(implicit(THREE_FOLD + " + z"))
+    assert kind_counts(rep) == {"identity": 1, "reflection": 3, "rotation": 2}

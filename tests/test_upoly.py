@@ -114,12 +114,6 @@ def test_eval_and_compose():
     assert p(UniPoly()) == P(3)
 
 
-def test_reversed_coeffs():
-    p = 2 * T ** 3 + T + 5
-    assert p.reversed_coeffs() == 5 * T ** 3 + T ** 2 + 2
-    assert p.reversed_coeffs(4) == 5 * T ** 4 + T ** 3 + 2 * T
-
-
 def test_content_primitive():
     p = UniPoly([Fraction(2, 3), Fraction(4, 3), 2])
     prim, c = p.primitive()
