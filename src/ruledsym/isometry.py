@@ -37,7 +37,7 @@ from .mpoly import MultiPoly
 from .phisys import ReparamCandidate, _plain, build_systems, psi_parts
 from .ratfunc import RatFunc, homogenized_eval
 from .solver import solve_parameter_maps, solve_zero_dim
-from .upoly import UniPoly, poly_lcm
+from .upoly import UniPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -102,13 +102,48 @@ def _is_orthogonal(q):
     return True
 
 
-def _psi_polys(candidate):
-    num = UniPoly([_plain(candidate.beta), _plain(candidate.alpha)])
-    den = UniPoly([_plain(candidate.delta), Fraction(candidate.gamma)])
-    return num, den
+class PsiImages:
+    """The curves of a surface under one candidate map psi = num/den.
+
+    Each image is homogenised to a polynomial: hq_i = den^n q_i(psi),
+    hd = den^m D(psi) and hn_i = den^m N_i(psi), where D and N_i are the
+    base curve's common denominator and numerators and m is their degree
+    (``RuledSurface.base_den``, ``base_nums``, ``base_degree``).  The
+    stages after the parameter-map solve share one instance per candidate.
+    """
+
+    __slots__ = ("surface", "candidate", "den", "hq", "hd", "hn", "w")
+
+    def __init__(self, surface, candidate):
+        num = UniPoly([_plain(candidate.beta), _plain(candidate.alpha)])
+        den = UniPoly([_plain(candidate.delta), Fraction(candidate.gamma)])
+        m = surface.base_degree
+        self.surface = surface
+        self.candidate = candidate
+        self.den = den
+        self.hq = [homogenized_eval(f, num, den, surface.n) for f in surface.q]
+        self.hd = homogenized_eval(surface.base_den, num, den, m)
+        self.hn = [homogenized_eval(f, num, den, m) for f in surface.base_nums]
+        # W = D * HD, the coefficient of the translation in the base identity
+        self.w = surface.base_den * self.hd
+
+    def base_gaps(self, q):
+        """G_i = (Q N)_i * HD - HN_i * D for an orthogonal part Q.
+
+        G_i / W = (Q p)_i - p_i(psi): the base identity without the
+        translation and the ruling shift.
+        """
+        nums, den = self.surface.base_nums, self.surface.base_den
+        gaps = []
+        for i in range(3):
+            ahat = UniPoly()
+            for j in range(3):
+                ahat = ahat + nums[j] * q[i][j]
+            gaps.append(ahat * self.hd - self.hn[i] * den)
+        return gaps
 
 
-def solve_q_matrices(surface, candidate):
+def solve_q_matrices(images):
     """All orthogonal matrices intertwining the direction curve with its
     reparametrized image; empty when none exists.
 
@@ -118,13 +153,13 @@ def solve_q_matrices(surface, candidate):
     fixed up to finitely many choices by the unit-row conditions; the
     orthogonality filter afterwards is exact either way.
     """
+    surface = images.surface
     n = surface.n
-    num, den = _psi_polys(candidate)
     coeff_rows = [[q.coeff(j) for q in surface.q] for j in range(n + 1)]
-    k = _plain(candidate.k)
+    k = _plain(images.candidate.k)
     particulars, kernel = [], None
-    for i in range(3):
-        image = homogenized_eval(surface.q[i], num, den, n) * k
+    for hq in images.hq:
+        image = hq * k
         rhs = [image.coeff(j) for j in range(n + 1)]
         solved = gauss_solve([list(r) for r in coeff_rows], rhs)
         if solved is None:
@@ -173,50 +208,23 @@ def _same_matrix(a, b):
 # translation part and ruling shift
 
 
-def _base_data(surface):
-    """Common denominator D, numerators N_i of the base curve, max degree."""
-    den = UniPoly([1])
-    for comp in surface.p:
-        den = poly_lcm(den, comp.den)
-    nums = []
-    for comp in surface.p:
-        nums.append(comp.num * (den // comp.den))
-    m = max([den.degree()] + [nu.degree() for nu in nums])
-    return den, nums, m
-
-
 _PAIRS = ((0, 1), (1, 2), (0, 2))
 
 
-def _translation_blocks(surface, candidate, q):
-    num, den = _psi_polys(candidate)
-    d_poly, n_polys, m = _base_data(surface)
-    hd = homogenized_eval(d_poly, num, den, m)
-    hn = [homogenized_eval(nu, num, den, m) for nu in n_polys]
-    hq = [homogenized_eval(qc, num, den, surface.n) for qc in surface.q]
-    w_poly = d_poly * hd
-    g_polys = []
-    for i in range(3):
-        ahat = UniPoly()
-        for j in range(3):
-            ahat = ahat + n_polys[j] * q[i][j]
-        g_polys.append(ahat * hd - hn[i] * d_poly)
-    return g_polys, w_poly, hq
-
-
-def solve_translation(surface, candidate, q):
+def solve_translation(images, gaps):
     """The unique translation vector for this orthogonal part, or None.
 
-    Eliminating the ruling shift between components i and j leaves
+    ``gaps`` are ``images.base_gaps(q)``.  Eliminating the ruling shift
+    between components i and j leaves
         [G_i + b_i W] q_j(psi) = [G_j + b_j W] q_i(psi)
     as a polynomial identity; matching coefficients over all three pairs
     gives a linear system whose solution is unique for non-cylindrical
     surfaces.
     """
-    g_polys, w_poly, hq = _translation_blocks(surface, candidate, q)
+    w_poly, hq = images.w, images.hq
     rows, rhs = [], []
     for i, j in _PAIRS:
-        constant = g_polys[i] * hq[j] - g_polys[j] * hq[i]
+        constant = gaps[i] * hq[j] - gaps[j] * hq[i]
         coeff_i = w_poly * hq[j]
         coeff_j = w_poly * hq[i]
         top = max(constant.degree(), coeff_i.degree(), coeff_j.degree())
@@ -243,45 +251,47 @@ def solve_translation(surface, candidate, q):
     return tuple(particular)
 
 
-def recover_ruling_shift(surface, candidate, q, b):
-    """The ruling shift c(t), or None when the base identity cannot hold."""
-    g_polys, w_poly, hq = _translation_blocks(surface, candidate, q)
-    full = [g_polys[i] + w_poly * b[i] for i in range(3)]
-    pivot = next((i for i in range(3) if not surface.q[i].is_zero()), None)
+def recover_ruling_shift(images, gaps, b):
+    """The ruling shift c(t), or None when the base identity cannot hold;
+    ``gaps`` are ``images.base_gaps(q)``."""
+    w_poly, hq = images.w, images.hq
+    full = [gaps[i] + w_poly * b[i] for i in range(3)]
+    pivot = next((i for i in range(3) if not hq[i].is_zero()), None)
     if pivot is None:
         raise PreconditionViolation("the direction curve is identically zero")
     for j in range(3):
         if j != pivot and full[j] * hq[pivot] != full[pivot] * hq[j]:
             return None
-    _, den = _psi_polys(candidate)
-    scale = den ** surface.n
+    scale = images.den ** images.surface.n
     return RatFunc(full[pivot] * scale, w_poly * hq[pivot])
 
 
 def verify_symmetry(surface, candidate, q, b, c):
-    """Certify both defining identities by direct substitution."""
-    num, den = _psi_polys(candidate)
+    """Certify both defining identities by direct substitution.
+
+    The images are recomputed from the candidate, so the certificate
+    depends on nothing the earlier stages computed.
+    """
+    images = PsiImages(surface, candidate)
     k = _plain(candidate.k)
     for i in range(3):
         lhs = UniPoly()
         for j in range(3):
             lhs = lhs + surface.q[j] * q[i][j]
-        rhs = homogenized_eval(surface.q[i], num, den, surface.n) * k
-        if lhs != rhs:
+        if lhs != images.hq[i] * k:
             return False
-    d_poly, n_polys, m = _base_data(surface)
-    hd = homogenized_eval(d_poly, num, den, m)
-    scale = den ** surface.n
+    d_poly, n_polys = surface.base_den, surface.base_nums
+    hd = images.hd
+    scale = images.den ** surface.n
     for i in range(3):
         lhs_num = UniPoly()
         for j in range(3):
             lhs_num = lhs_num + n_polys[j] * q[i][j]
         lhs_num = lhs_num + d_poly * b[i]
         # (lhs_num / D) == HN_i/HD + c * Hq_i / scale
-        hn = homogenized_eval(n_polys[i], num, den, m)
-        hqi = homogenized_eval(surface.q[i], num, den, surface.n)
         left = lhs_num * hd * scale * c.den
-        right = (hn * scale * c.den + c.num * hqi * hd) * d_poly
+        right = (images.hn[i] * scale * c.den
+                 + c.num * images.hq[i] * hd) * d_poly
         if left != right:
             return False
     return True
@@ -499,15 +509,17 @@ def symmetries(surface):
     vertex = surface.conical_vertex() if surface.base_is_constant() else None
     found = []
     for cand in candidates:
-        for q in solve_q_matrices(surface, cand):
+        images = PsiImages(surface, cand)
+        for q in solve_q_matrices(images):
             if vertex is not None:
                 b = tuple(v - w for v, w in zip(vertex, mat_vec(q, vertex)))
                 c = RatFunc(UniPoly())
             else:
-                b = solve_translation(surface, cand, q)
+                gaps = images.base_gaps(q)
+                b = solve_translation(images, gaps)
                 if b is None:
                     continue
-                c = recover_ruling_shift(surface, cand, q, b)
+                c = recover_ruling_shift(images, gaps, b)
                 if c is None:
                     continue
             if not verify_symmetry(surface, cand, q, b, c):
@@ -538,15 +550,13 @@ def _linear_direction_symmetries(surface):
     frame_inv = mat_inv3(tuple(
         (u[i], v[i], normal[i]) for i in range(3)
     ))
-    d_poly, n_polys, m = _base_data(surface)
     found = []
     for gamma in (0, 1):
         unknowns = ("alpha", "beta", "k") if gamma == 0 \
             else ("alpha", "beta", "delta", "k")
         for eps in (1, -1):
             eqs = _linear_direction_equations(
-                surface, gamma, eps, u, v, normal, frame_inv,
-                d_poly, n_polys, m)
+                surface, gamma, eps, u, v, normal, frame_inv)
             try:
                 points = solve_zero_dim(eqs, unknowns,
                                         linear_tail=("b1", "b2", "b3"))
@@ -560,12 +570,12 @@ def _linear_direction_symmetries(surface):
                     point.get("delta", Fraction(1)), point["k"], 1)
                 if cand.k == 0 or cand.det() == 0:
                     continue
-                qs = solve_q_matrices(surface, cand)
+                images = PsiImages(surface, cand)
                 b = tuple(_plain(point[name]) for name in ("b1", "b2", "b3"))
-                for q in qs:
+                for q in solve_q_matrices(images):
                     if det3(q) != eps:
                         continue
-                    c = recover_ruling_shift(surface, cand, q, b)
+                    c = recover_ruling_shift(images, images.base_gaps(q), b)
                     if c is None:
                         continue
                     if not verify_symmetry(surface, cand, q, b, c):
@@ -574,9 +584,9 @@ def _linear_direction_symmetries(surface):
     return _finish(found)
 
 
-def _linear_direction_equations(surface, gamma, eps, u, v, normal, frame_inv,
-                                d_poly, n_polys, m):
+def _linear_direction_equations(surface, gamma, eps, u, v, normal, frame_inv):
     vars = _LINEAR_VARS
+    d_poly, n_polys, m = surface.base_den, surface.base_nums, surface.base_degree
     alpha, beta, gamma_poly, delta = psi_parts(vars, gamma)
     k = MultiPoly.var(vars, "k")
     # q(psi) (gamma t + delta) = (delta u + beta v) + t (gamma u + alpha v)

@@ -9,12 +9,8 @@ gcds over number fields.
 
 from fractions import Fraction
 
-from .errors import ZeroInput
-from .upoly import UniPoly
-
-
-def _is_fraction_poly(p):
-    return all(isinstance(c, Fraction) for c in p.coeffs)
+from .errors import PreconditionViolation, ZeroInput
+from .upoly import UniPoly, rational_homogenized_eval
 
 
 class RatFunc:
@@ -28,7 +24,7 @@ class RatFunc:
         if num.is_zero():
             num, den = UniPoly(), UniPoly.const(1)
         else:
-            if _is_fraction_poly(num) and _is_fraction_poly(den):
+            if num.is_rational() and den.is_rational():
                 g = num.gcd(den)
                 if g.degree() > 0:
                     num = num // g
@@ -173,20 +169,28 @@ def homogenized_eval(p, num, den, m):
     """Sum of p_i * num^i * den^(m-i): the value den^m * p(num/den).
 
     num and den are UniPolys or MultiPolys of one variable space; the
-    result is of their kind.
+    result is of their kind.  A homogeneous Horner scheme: with d = deg p,
+    acc = acc * num + p_i * den^(d-i) from the top coefficient down, then
+    one factor den^(m-d).  Rational UniPolys run it on integers.
     """
-    assert m >= p.degree()
+    d = p.degree()
+    if m < d:
+        raise PreconditionViolation(
+            "homogenisation degree %d is below the degree %d" % (m, d))
+    if (isinstance(num, UniPoly) and p.is_rational() and num.is_rational()
+            and den.is_rational()):
+        return rational_homogenized_eval(p, num, den, m)
     one = den ** 0
-    total = one * 0
-    num_pow = one
-    den_pows = [one]
-    for _ in range(m):
-        den_pows.append(den_pows[-1] * den)
-    for i, c in enumerate(p.coeffs):
+    if d < 0:
+        return one * 0
+    acc = one * p.coeffs[d]
+    den_pow = one
+    for c in reversed(p.coeffs[:d]):
+        den_pow = den_pow * den
+        acc = acc * num
         if c != 0:
-            total = total + num_pow * den_pows[m - i] * c
-        num_pow = num_pow * num
-    return total
+            acc = acc + den_pow * c
+    return acc * den ** (m - d) if m > d else acc
 
 
 def mobius(a, b, c, d):

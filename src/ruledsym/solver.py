@@ -40,20 +40,12 @@ from .linalg import gauss_solve
 from .phisys import candidate_from_point, scale_factors
 from .upoly import UniPoly, factor_rational, poly_gcd
 
-_SYMBOLS = {}
-
-
-def _sym(name):
-    if name not in _SYMBOLS:
-        _SYMBOLS[name] = sympy.Symbol(name)
-    return _SYMBOLS[name]
-
 
 def sympy_poly(e):
     """A rational MultiPoly as a sympy Poly over QQ, from its exponent dict."""
     # from_dict converts the coefficients of the dict it is given in place
-    return sympy.Poly.from_dict(dict(e.terms), [_sym(v) for v in e.vars],
-                                domain="QQ")
+    return sympy.Poly.from_dict(dict(e.terms),
+                                [sympy.Symbol(v) for v in e.vars], domain="QQ")
 
 
 def _clean(equations):
@@ -70,7 +62,7 @@ def _clean(equations):
 
 def _univariate(basis, var):
     """Generator of the basis's ideal intersected with Q[var], or None."""
-    target = _sym(var)
+    target = sympy.Symbol(var)
     collapsed = UniPoly()
     for g in basis.exprs:
         if g.free_symbols <= {target}:
@@ -91,7 +83,7 @@ def _cover(eqs, var, eliminate_vars):
     projection onto the var axis.  None means that projection is not
     finite (the ideal meets the ring of the single variable trivially).
     """
-    order = [_sym(w) for w in eliminate_vars] + [_sym(var)]
+    order = [sympy.Symbol(w) for w in eliminate_vars] + [sympy.Symbol(var)]
     basis = sympy.groebner([sympy_poly(e) for e in eqs], *order, order="lex")
     return _univariate(basis, var)
 
@@ -121,7 +113,7 @@ def _minimal_polynomial(basis, var):
     ring, *gens = sympy.polys.rings.ring(basis.gens, sympy.QQ,
                                          sympy.polys.orderings.lex)
     divisors = [ring.from_dict(p.as_dict()) for p in basis.polys]
-    x = gens[basis.gens.index(_sym(var))]
+    x = gens[basis.gens.index(sympy.Symbol(var))]
     forms = [ring.one.rem(divisors)]
     while True:
         nxt = (forms[-1] * x).rem(divisors)
@@ -162,12 +154,12 @@ def _solve_core(eqs, core, unknowns, nonzero):
     space = eqs[0].vars
     gens = [sympy_poly(e) for e in eqs]
     gens.append(sympy_poly(MultiPoly.from_unipoly(space, v, real_part)))
-    order = [_sym(w) for w in others]
+    order = [sympy.Symbol(w) for w in others]
     if nonzero is not None:
         u = sympy.Dummy("u")
         gens.append(u * sympy_poly(nonzero).as_expr() - 1)
         order.append(u)
-    order.append(_sym(v))
+    order.append(sympy.Symbol(v))
     basis = sympy.groebner(gens, *order, order="lex")
     if basis.exprs == [1]:
         return []

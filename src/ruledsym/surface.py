@@ -5,7 +5,9 @@ with the monic lcm, then the polynomial gcd and the rational content of
 the numerators are divided out.  This makes the direction a primitive
 polynomial triple, which guarantees that the squared direction norm is a
 strictly positive polynomial of degree exactly twice the direction degree
--- facts the solving stages rely on.
+-- facts the solving stages rely on.  The base curve is kept as given and,
+once, as polynomials over its common denominator, the form in which the
+isometry stages substitute the parameter maps.
 """
 
 from fractions import Fraction
@@ -14,13 +16,18 @@ from .errors import ParseError, ZeroDirection
 from .linalg import cross, gauss_solve
 from .parser import parse_ratfunc
 from .ratfunc import _as_ratfunc
-from .upoly import frac_gcd, poly_gcd, poly_lcm
+from .upoly import UniPoly, frac_gcd, poly_gcd, poly_lcm
 
 
 class RuledSurface:
-    """Standard-form ruled surface with exact rational coefficient data."""
+    """Standard-form ruled surface with exact rational coefficient data.
 
-    __slots__ = ("p", "q", "n")
+    ``base_den`` is the monic common denominator D of the base curve,
+    ``base_nums`` the numerators N_i = D * p_i and ``base_degree`` the
+    largest degree among D and the N_i.
+    """
+
+    __slots__ = ("p", "q", "n", "base_den", "base_nums", "base_degree")
 
     def __init__(self, p, q):
         p = tuple(_as_ratfunc(c) for c in p)
@@ -34,6 +41,11 @@ class RuledSurface:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", _normalize_direction(q_in))
         object.__setattr__(self, "n", max(c.degree() for c in self.q))
+        den, nums = _clear_denominators(p)
+        object.__setattr__(self, "base_den", den)
+        object.__setattr__(self, "base_nums", tuple(nums))
+        object.__setattr__(self, "base_degree",
+                           max(f.degree() for f in (den,) + self.base_nums))
 
     def __setattr__(self, *a):
         raise AttributeError("RuledSurface is immutable")
@@ -94,10 +106,16 @@ class RuledSurface:
         return "RuledSurface(p=%s, q=%s)" % (r["p"], r["q"])
 
 
+def _clear_denominators(comps):
+    """The monic lcm D of the denominators and the numerators D * c."""
+    common = UniPoly([1])
+    for c in comps:
+        common = poly_lcm(common, c.den)
+    return common, [c.num * (common // c.den) for c in comps]
+
+
 def _normalize_direction(q_in):
-    dens = [c.den for c in q_in]
-    common = poly_lcm(poly_lcm(dens[0], dens[1]), dens[2])
-    polys = [c.num * (common // c.den) for c in q_in]
+    _, polys = _clear_denominators(q_in)
     g = poly_gcd(poly_gcd(polys[0], polys[1]), polys[2])
     if g.degree() > 0:
         polys = [p // g for p in polys]

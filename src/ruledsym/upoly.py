@@ -2,8 +2,16 @@
 
 Coefficients are ``fractions.Fraction`` in the common case, but any exact
 field element with Python arithmetic (notably ``algnum.Alg``)
-works for the ring operations; the root-finding helpers (Sturm sequences,
-factorisation) require rational coefficients.
+works for the ring operations; gcds, the square-free decomposition, the
+root-finding helpers (Sturm sequences) and factorisation require rational
+coefficients.
+
+Rational polynomials run on an integer kernel: a product clears the
+denominators of both factors once, convolves Python integers and builds one
+``Fraction`` per output coefficient, and the gcd is a primitive remainder
+sequence over the integers; ``rational_homogenized_eval`` substitutes a
+rational function into a polynomial the same way.  Products with other
+coefficients use the generic loop.
 
 Coefficients are stored dense and ascending: ``UniPoly([1, 0, 2])`` is
 ``1 + 2*t^2``.  The zero polynomial has an empty coefficient tuple and
@@ -12,13 +20,61 @@ degree -1.
 
 import functools
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+
+from .errors import PreconditionViolation
 
 
 def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
     return c
+
+
+def _integer_form(coeffs):
+    """The common denominator of rational coefficients and the integers
+    it turns them into."""
+    den = _int_lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _convolve(a, b):
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive_ints(ints):
+    """Integer coefficients divided by their content, trailing zeros cut."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = _int_gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _integer_remainder(a, b):
+    """The primitive part of the pseudo-remainder of a by b (integer
+    coefficient lists, b nonzero); each step scales by the least factor
+    that keeps the arithmetic in the integers."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()
+        if c:
+            g = _int_gcd(c, lead)
+            u, v = lead // g, c // g
+            if u != 1:
+                r = [u * x for x in r]
+            for j in range(db):
+                r[k + j] -= v * b[j]
+    return _primitive_ints(r)
 
 
 def frac_gcd(a, b):
@@ -80,6 +136,10 @@ class UniPoly:
             return self.coeffs[k]
         return Fraction(0)
 
+    def is_rational(self):
+        """Whether every coefficient is a Fraction."""
+        return all(isinstance(c, Fraction) for c in self.coeffs)
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -125,6 +185,11 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if not self.coeffs or not other.coeffs:
                 return UniPoly()
+            if self.is_rational() and other.is_rational():
+                da, a = _integer_form(self.coeffs)
+                db, b = _integer_form(other.coeffs)
+                den = da * db
+                return UniPoly([Fraction(v, den) for v in _convolve(a, b)])
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -173,7 +238,8 @@ class UniPoly:
 
     def __floordiv__(self, other):
         q, r = self.divmod(other)
-        assert r.is_zero(), "inexact polynomial division"
+        if not r.is_zero():
+            raise PreconditionViolation("inexact polynomial division")
         return q
 
     def __mod__(self, other):
@@ -220,11 +286,18 @@ class UniPoly:
         return self.scale(1 / c), c
 
     def gcd(self, other):
-        """Monic gcd by the Euclidean algorithm (field coefficients)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd of two rational polynomials; gcd(p, 0) is monic p.
+
+        A primitive remainder sequence over the integers (Brown, On
+        Euclid's algorithm and the computation of polynomial greatest
+        common divisors, JACM 1971): every remainder is divided by its
+        content, so coefficients stay as small as the inputs allow.
+        """
+        a = _primitive_ints(_integer_form(self.coeffs)[1])
+        b = _primitive_ints(_integer_form(other.coeffs)[1])
+        while b:
+            a, b = b, _integer_remainder(a, b)
+        return UniPoly([Fraction(c, a[-1]) for c in a])
 
     # ---- square-free structure (rational coefficients) ----
 
@@ -345,12 +418,33 @@ def factor_rational(p):
     return (unit, out)
 
 
+def rational_homogenized_eval(p, num, den, m):
+    """den^m p(num/den) for rational p, num and den, with m >= deg p.
+
+    The homogeneous Horner scheme of ``ratfunc.homogenized_eval`` on
+    integers: with P = D_p p, N = L num and E = L den integral, the value
+    is (sum P_i N^i E^(m-i)) / (D_p L^m), one Fraction per coefficient.
+    """
+    dp, pc = _integer_form(p.coeffs)
+    dl, ints = _integer_form(num.coeffs + den.coeffs)
+    n, e = ints[:len(num.coeffs)], ints[len(num.coeffs):]
+    d = p.degree()
+    acc, e_pow = pc[d:], [1]
+    for c in reversed(pc[:d]):
+        e_pow = _convolve(e_pow, e)
+        acc = _convolve(acc, n)
+        if c:
+            acc += [0] * (len(e_pow) - len(acc))
+            for i, v in enumerate(e_pow):
+                acc[i] += c * v
+    for _ in range(m - d):
+        acc = _convolve(acc, e)
+    scale = dp * dl ** m
+    return UniPoly([Fraction(v, scale) for v in acc])
+
+
 def poly_gcd(a, b):
     """Monic gcd of two rational polynomials; gcd(0, p) is monic p."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
     return a.gcd(b)
 
 

@@ -8,6 +8,7 @@ from ruledsym.algnum import Alg, alg_sqrt, ensure_alg
 from ruledsym.errors import CylindricalInput
 from ruledsym.isometry import (
     Isometry,
+    PsiImages,
     classify,
     compose,
     filter_involutions,
@@ -299,7 +300,7 @@ def test_identity_candidate_can_carry_extra_matrices():
     cands = solve_parameter_maps(cone, build_systems(cone))
     ident = [c for c in cands if c.is_identity_map()]
     assert len(ident) == 1
-    mats = solve_q_matrices(cone, ident[0])
+    mats = solve_q_matrices(PsiImages(cone, ident[0]))
     # the direction curve spans only a plane, so the identity map is
     # intertwined by the identity matrix and by one genuine mirror
     assert len(mats) == 2

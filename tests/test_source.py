@@ -25,3 +25,33 @@ def _unused_imports(path):
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _empty_containers(path):
+    """Module-level names bound to an empty dict, list or set."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+                and not value.args and not value.keywords))
+        if empty:
+            found.extend(ast.unparse(t) for t in targets)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_mutable_containers(path):
+    # an empty module-level container is a cache or registry that would
+    # carry state from one in-process call to the next
+    assert _empty_containers(path) == []
