@@ -34,7 +34,8 @@ from .linalg import (
     trace,
 )
 from .mpoly import MultiPoly
-from .phisys import ReparamCandidate, _plain, build_systems, psi_parts
+from .phisys import (ReparamCandidate, _plain, build_systems, map_from_point,
+                     psi_parts)
 from .ratfunc import RatFunc, homogenized_eval
 from .solver import solve_parameter_maps, solve_zero_dim
 from .upoly import UniPoly
@@ -531,7 +532,7 @@ def symmetries(surface):
 # ---------------------------------------------------------------------------
 # degree-one direction curves (every component linear)
 
-_LINEAR_VARS = ("t", "alpha", "beta", "delta", "k", "b1", "b2", "b3")
+_LINEAR_VARS = ("t", "alpha", "beta", "delta", "c", "k", "b1", "b2", "b3")
 
 
 def _linear_direction_symmetries(surface):
@@ -553,7 +554,7 @@ def _linear_direction_symmetries(surface):
     found = []
     for gamma in (0, 1):
         unknowns = ("alpha", "beta", "k") if gamma == 0 \
-            else ("alpha", "beta", "delta", "k")
+            else ("alpha", "delta", "c", "k")
         for eps in (1, -1):
             eqs = _linear_direction_equations(
                 surface, gamma, eps, u, v, normal, frame_inv)
@@ -566,8 +567,7 @@ def _linear_direction_symmetries(surface):
                     "direction curve is not finite", branch=gamma)
             for point in points:
                 cand = ReparamCandidate(
-                    gamma, point["alpha"], point["beta"],
-                    point.get("delta", Fraction(1)), point["k"], 1)
+                    gamma, *map_from_point(gamma, point), point["k"], 1)
                 if cand.k == 0 or cand.det() == 0:
                     continue
                 images = PsiImages(surface, cand)

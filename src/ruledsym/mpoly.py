@@ -13,6 +13,7 @@ through sympy, see solver.sympy_poly).
 
 from fractions import Fraction
 
+from .errors import PreconditionViolation
 from .upoly import UniPoly, frac_gcd
 
 
@@ -253,7 +254,9 @@ class MultiPoly:
     def to_unipoly(self, name):
         """Conversion when no other variable occurs."""
         used = self.used_vars()
-        assert used <= {name}, "polynomial involves %s" % (used - {name})
+        if not used <= {name}:
+            raise PreconditionViolation(
+                "polynomial involves %s" % sorted(used - {name}))
         if self.is_zero():
             return UniPoly()
         i = self.vars.index(name)
@@ -332,7 +335,9 @@ def project(p, new_vars):
         for i, e in enumerate(exp):
             if e:
                 j = lookup[i]
-                assert j is not None, "variable %r still in use" % (p.vars[i],)
+                if j is None:
+                    raise PreconditionViolation(
+                        "variable %r still in use" % (p.vars[i],))
                 new[j] = e
         terms[tuple(new)] = c
     return MultiPoly(new_vars, terms)

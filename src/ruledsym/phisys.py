@@ -3,24 +3,38 @@
 A symmetry of a non-cylindrical standard-form surface induces a map of the
 line parameter psi(t) = (alpha t + beta)/(gamma t + delta) together with a
 rescaling of the ruling parameter by k (gamma t + delta)^n, k nonzero, n
-the direction degree.  Two charts cover every such map: the affine chart
-gamma = 0, delta = 1, with unknowns (alpha, beta), and the chart gamma = 1
-with unknowns (alpha, beta, delta).  Write den for the denominator of psi
-on the chart, t + delta or 1.
+the direction degree.  Two charts cover every such map:
 
-Orthogonality of the matrix part forces the squared direction norm M
-(degree exactly 2n, positive on the reals) to satisfy
-M = K den^(2n) M(psi) with K = k^2.  More generally, for a polynomial f
-of degree d, H = den^d f(psi) is a nonzero constant multiple of f
-exactly when
+* the affine chart gamma = 0, delta = 1: psi(t) = alpha t + beta, with
+  unknowns (alpha, beta);
+* the general chart gamma = 1: psi(t) = alpha + c/s with s = t + delta
+  and c = beta - alpha delta, with unknowns (alpha, delta, c).  The
+  determinant of the map is -c, so c != 0 is exactly nondegeneracy.
 
-    lead(f) * H - [t^d]H * f = 0
+Write s = t + gamma delta for the shifted parameter (s = t on the affine
+chart) and den for the denominator of psi in s (1 or s).  For a
+polynomial f of degree d, H(s) = den^d f(psi) is a nonzero constant
+multiple of f exactly when
 
-with [t^d]H, the coefficient of t^d in H, nonzero.  The coefficients of
-t^j, j < d, of the left side are polynomial equations in the unknowns;
-the t^d coefficient vanishes identically.  With f = M they are the raw
-equations, and K follows from the leading coefficients: alpha^(-2n) on
-the affine chart, lead(M)/M(alpha) on the other.
+    lead(f) * H(s) - [s^d]H * F(s) = 0,   F(s) = f(s - gamma delta),
+
+with [s^d]H nonzero: f(alpha) on the general chart, since there
+H(s) = s^d f(alpha + c/s) = sum_i f^(i)(alpha)/i! c^i s^(d-i), and
+lead(f) alpha^d on the affine chart.  The coefficients of s^j, j < d, of
+the left side are polynomial equations in the unknowns; the s^d
+coefficient vanishes identically.  With f = M, the squared direction norm
+(degree exactly 2n, positive on the reals), they are the raw equations:
+orthogonality of the matrix part forces M = K den^(2n) M(psi) with
+K = k^2, and K follows from the leading coefficients: alpha^(-2n) on the
+affine chart, lead(M)/M(alpha) on the other.
+
+On the general chart these are the t-coefficient equations of the same
+identity in other generators and coordinates.  The s- and t-coefficients
+of one polynomial differ by a unitriangular matrix over Q[delta], and
+(alpha, beta, delta) -> (alpha, delta, c) is a triangular automorphism
+that fixes alpha, so the ideal, its projection on alpha, its saturation
+by the determinant and its real points are those of the t-form; only the
+lex Groebner bases the solver computes get cheaper (delta > c > alpha).
 
 Since psi permutes the projective root multiset of M and preserves root
 multiplicities, it preserves each square-free multiplicity class of M
@@ -36,7 +50,10 @@ from .errors import PreconditionViolation
 from .mpoly import MultiPoly, project
 from .ratfunc import homogenized_eval
 
-GENERAL_VARS = ("t", "alpha", "beta", "delta")
+# the shifted parameter s, then the chart's unknowns in solver order: the
+# first is solved through its eliminant, the others lex-ordered before it
+AFFINE_VARS = ("s", "alpha", "beta")
+GENERAL_VARS = ("s", "alpha", "delta", "c")
 
 
 class ReparamCandidate:
@@ -107,28 +124,33 @@ def squarefree_classes(m):
 def psi_parts(space, gamma):
     """alpha, beta, gamma and delta of psi on one chart, over space.
 
-    The one place where the charts differ: delta is an unknown when
-    gamma = 1 and the constant 1 on the affine chart.
+    The one place where the charts differ: on the affine chart beta is an
+    unknown and delta the constant 1; on gamma = 1 delta is an unknown and
+    beta is c + alpha delta.
     """
+    alpha = MultiPoly.var(space, "alpha")
     if gamma:
         delta = MultiPoly.var(space, "delta")
+        beta = MultiPoly.var(space, "c") + alpha * delta
     else:
         delta = MultiPoly.const(space, 1)
-    return (MultiPoly.var(space, "alpha"), MultiPoly.var(space, "beta"),
-            MultiPoly.const(space, gamma), delta)
+        beta = MultiPoly.var(space, "beta")
+    return alpha, beta, MultiPoly.const(space, gamma), delta
 
 
-def _invariance_equations(f, num, den, unknowns):
-    """The t^j coefficients, j < deg f, of lead(f)*H - [t^d]H * f.
+def _invariance_equations(f, num, den, t, unknowns):
+    """The s^j coefficients, j < deg f, of lead(f)*H - [s^d]H * F.
 
-    H = den^d f(num/den) with d = deg f; see the module docstring.
+    H = den^d f(num/den) and F = f(t) with d = deg f, where num, den and
+    t are written in s; see the module docstring.  Both have degree d in s,
+    with leading coefficients [s^d]H != 0 and lead(f).
     """
     d = f.degree()
-    coeffs = homogenized_eval(f, num, den, d).as_univar("t")
-    coeffs += [num * 0] * (d + 1 - len(coeffs))
+    h = homogenized_eval(f, num, den, d).as_univar("s")
+    ft = homogenized_eval(f, t, t ** 0, d).as_univar("s")
     eqs = []
     for j in range(d):
-        e = coeffs[j] * f.lead() - coeffs[d] * f.coeff(j)
+        e = h[j] * f.lead() - h[d] * ft[j]
         if not e.is_zero():
             eqs.append(project(e, unknowns))
     return eqs
@@ -136,19 +158,21 @@ def _invariance_equations(f, num, den, unknowns):
 
 def build_system(surface, gamma):
     """The parameter-map system on the chart gamma = 0 (affine) or 1."""
-    space = GENERAL_VARS[:3 + gamma]
+    space = GENERAL_VARS if gamma else AFFINE_VARS
     unknowns = space[1:]
-    a, b, c, d = psi_parts(space, gamma)
-    t = MultiPoly.var(space, "t")
-    num, den = a * t + b, c * t + d
+    a, b, g, d = psi_parts(space, gamma)
+    # t in the shifted parameter s = t + gamma delta; then psi = num/den
+    # is alpha s + beta on the affine chart and (alpha s + c)/s on gamma = 1
+    t = MultiPoly.var(space, "s") - g * d
+    num, den = a * t + b, g * t + d
     m = surface.norm_square()
     classes = squarefree_classes(m)
     class_eqs = []
     for f, _ in classes:
-        class_eqs.extend(_invariance_equations(f, num, den, unknowns))
-    raw = _invariance_equations(m, num, den, unknowns)
+        class_eqs.extend(_invariance_equations(f, num, den, t, unknowns))
+    raw = _invariance_equations(m, num, den, t, unknowns)
     return ReparamSystem(gamma, unknowns, class_eqs, raw, classes, m,
-                         surface.n, project(a * d - b * c, unknowns))
+                         surface.n, project(a * d - b * g, unknowns))
 
 
 def build_affine_system(surface):
@@ -191,6 +215,18 @@ def _eval_unipoly_alg(p, x):
     return total
 
 
+def map_from_point(gamma, point):
+    """alpha, beta and delta of psi at a solved point of one chart.
+
+    On gamma = 1 the point carries c, and beta = c + alpha delta as in
+    psi_parts.
+    """
+    if not gamma:
+        return point["alpha"], point["beta"], 1
+    alpha, delta = ensure_alg(point["alpha"]), ensure_alg(point["delta"])
+    return alpha, alpha * delta + point["c"], delta
+
+
 def candidate_from_point(system, point, k):
-    return ReparamCandidate(system.gamma, point["alpha"], point["beta"],
-                            point.get("delta", 1), k, system.n)
+    return ReparamCandidate(system.gamma, *map_from_point(system.gamma, point),
+                            k, system.n)

@@ -12,7 +12,8 @@ The second basis adjoins the product of the remaining factors and, when
 the caller names a polynomial that must not vanish, the Rabinowitsch
 equation u * nonzero - 1, which saturates the ideal by that polynomial
 (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4).  The
-parameter-map solve passes the determinant of the map, which removes the
+parameter-map solve passes the chart's determinant of the map (alpha on
+the affine chart, -c on the general chart, see phisys), which removes the
 degenerate components over real roots as well.  That basis must be
 zero-dimensional, otherwise PositiveDimensional is raised.  The other
 unknowns' eliminants are read from it as minimal polynomials of

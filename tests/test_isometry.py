@@ -394,6 +394,18 @@ def _reparametrized(name, image):
 @pytest.mark.parametrize("image", sorted(_REPARAMETRIZATIONS))
 @pytest.mark.parametrize("name", ["x4", "x5", "x6", "linear_q"])
 def test_reparametrization_keeps_the_symmetries(corpus, name, image):
+    _check_reparametrization(corpus, name, image)
+
+
+# the general chart's lex bases changed most on these two inputs
+@pytest.mark.parametrize("image", ["1/t", "1/(t+1)"])
+@pytest.mark.parametrize("name", ["x7", "x10"])
+def test_reparametrization_keeps_the_symmetries_of_x7_and_x10(
+        corpus, name, image):
+    _check_reparametrization(corpus, name, image)
+
+
+def _check_reparametrization(corpus, name, image):
     moved = surface_from_json(
         _reparametrized(name, _REPARAMETRIZATIONS[image]))
     want = symmetries(corpus[name])

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ruledsym.algnum import Alg, alg_sqrt
 from ruledsym.errors import PreconditionViolation
+from ruledsym.mpoly import MultiPoly, project
 from ruledsym.phisys import (
     GENERAL_VARS,
     ReparamSystem,
@@ -16,6 +18,8 @@ from ruledsym.phisys import (
     scale_factors,
     squarefree_classes,
 )
+from ruledsym.ratfunc import homogenized_eval
+from ruledsym.solver import sympy_poly
 from ruledsym.upoly import UniPoly
 
 from conftest import build_surface
@@ -25,6 +29,12 @@ def _eval_all(system, **values):
     vals = {k: Fraction(v) for k, v in values.items()}
     return [e.eval({n: vals[n] for n in e.used_vars()})
             for e in system.class_equations + system.raw_equations]
+
+
+def _general_point(alpha, beta, delta):
+    """The general chart's unknowns at the map (alpha t + beta)/(t + delta)."""
+    return {"alpha": Fraction(alpha), "delta": Fraction(delta),
+            "c": Fraction(beta) - Fraction(alpha) * Fraction(delta)}
 
 
 def test_golden_class_structure(golden):
@@ -56,28 +66,32 @@ def test_affine_system_golden_solutions(golden):
 def test_general_system_golden_solutions(golden):
     system = build_general_system(golden)
     assert system.gamma == 1
-    assert system.unknowns() == ("alpha", "beta", "delta")
+    assert system.unknowns() == ("alpha", "delta", "c")
     # t -> 1/t and t -> (t+1)/(t-1) are symmetries of the golden surface
-    for a, b, d in [(0, 1, 0), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
-                    (0, -1, 0), (-1, -1, -1)]:
-        assert all(v == 0 for v in _eval_all(system, alpha=a, beta=b, delta=d))
-    assert any(v != 0 for v in _eval_all(system, alpha=0, beta=1, delta=1))
-    assert any(v != 0 for v in _eval_all(system, alpha=2, beta=1, delta=0))
+    for abd in [(0, 1, 0), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
+                (0, -1, 0), (-1, -1, -1)]:
+        assert all(v == 0 for v in _eval_all(system, **_general_point(*abd)))
+    assert any(v != 0 for v in _eval_all(system, **_general_point(0, 1, 1)))
+    assert any(v != 0 for v in _eval_all(system, **_general_point(2, 1, 0)))
 
 
 def test_general_small_class_collapse(golden):
-    """The degree-two class forces delta = -alpha*beta and beta^2 = 1."""
+    """The degree-two class forces delta = -alpha*beta and beta^2 = 1,
+    so c = beta - alpha*delta = beta*(1 + alpha^2)."""
     system = build_general_system(golden)
+    # the degree-two class's equations have total degree at most 4 in
+    # (alpha, delta, c); the degree-eight class's have more
     small = [e for e in system.class_equations
-             if e.total_degree() <= 2 and e.degree_in("delta") > 0]
+             if e.total_degree() <= 4 and e.degree_in("delta") > 0]
     assert small, "expected equations tying delta to the degree-two class"
     # any point with delta = -alpha*beta and beta = +/-1 kills the whole
     # class block of the degree-two class, independently of alpha
+    vals = _general_point(alpha=5, beta=-1, delta=5)
+    assert vals["c"] == -26
     degree_two_block = system.class_equations[:0]
     for e in system.class_equations:
-        vals = {"alpha": Fraction(5), "beta": Fraction(-1), "delta": Fraction(5)}
         used = {n: vals[n] for n in e.used_vars()}
-        if e.total_degree() <= 2:
+        if e.total_degree() <= 4:
             assert e.eval(used) == 0
             degree_two_block = degree_two_block + [e]
     assert degree_two_block
@@ -137,22 +151,66 @@ def test_candidate_accessors(golden):
     assert cand.delta == 1
 
     general = build_general_system(golden)
-    inv = candidate_from_point(general, {"alpha": Fraction(0),
-                                         "beta": Fraction(1),
-                                         "delta": Fraction(0)}, Fraction(1))
+    inv = candidate_from_point(general, _general_point(0, 1, 0), Fraction(1))
     assert not inv.is_identity_map()
     assert inv.det() == -1
     assert not inv.same_map(cand)
-    other = candidate_from_point(general, {"alpha": Fraction(0),
-                                           "beta": Fraction(1),
-                                           "delta": Fraction(0)},
+    other = candidate_from_point(general, _general_point(0, 1, 0),
                                  Fraction(-1))
     assert not other.same_map(inv)
+    # beta = c + alpha*delta comes back from the chart's unknowns
+    shifted = candidate_from_point(general, _general_point(1, -1, 1),
+                                   Fraction(1))
+    assert (shifted.alpha, shifted.beta, shifted.delta) == (1, -1, 1)
+    assert shifted.det() == 2
 
 
 def test_build_systems_pair(golden):
     systems = build_systems(golden)
     assert [s.gamma for s in systems] == [0, 1]
     assert [s.unknowns() for s in systems] == [
-        ("alpha", "beta"), ("alpha", "beta", "delta")]
+        ("alpha", "beta"), ("alpha", "delta", "c")]
     assert all(s.class_equations and s.raw_equations for s in systems)
+
+
+# ---- the s-form general chart against the t-form ----
+
+def _t_form_class_equations(surface, unknowns):
+    """The general chart's class equations as the t-coefficients of
+    lead(f) (t + delta)^d f(psi) - [t^d](...) f, with beta = c + alpha delta.
+    """
+    space = ("t", "alpha", "beta", "delta", "c")
+    t, alpha, beta, delta, c = (MultiPoly.var(space, v) for v in space)
+    num, den = alpha * t + beta, t + delta
+    eqs = []
+    for f, _ in squarefree_classes(surface.norm_square()):
+        d = f.degree()
+        coeffs = homogenized_eval(f, num, den, d).as_univar("t")
+        for j in range(d):
+            e = coeffs[j] * f.lead() - coeffs[d] * f.coeff(j)
+            e = e.substitute_poly("beta", c + alpha * delta)
+            if not e.is_zero():
+                eqs.append(project(e, unknowns))
+    return eqs
+
+
+def _lex_basis(eqs):
+    # the solver's cover order: delta > c > alpha
+    gens = [sympy.Symbol(v) for v in ("delta", "c", "alpha")]
+    return sympy.groebner([sympy_poly(e).as_expr() for e in eqs], *gens,
+                          order="lex")
+
+
+@pytest.mark.parametrize("name", ["golden", "x4", "x6"])
+def test_general_chart_equations_generate_the_t_form_ideal(name):
+    # the s- and t-coefficients of one identity differ by a unitriangular
+    # matrix over Q[delta], so both generate one ideal; a slip in the sign
+    # of c or of the shift would lose points without raising anything
+    surface = build_surface(name)
+    system = build_general_system(surface)
+    s_form = system.class_equations
+    t_form = _t_form_class_equations(surface, system.unknowns())
+    assert s_form and t_form
+    s_basis, t_basis = _lex_basis(s_form), _lex_basis(t_form)
+    assert all(t_basis.contains(sympy_poly(e).as_expr()) for e in s_form)
+    assert all(s_basis.contains(sympy_poly(e).as_expr()) for e in t_form)

@@ -149,15 +149,20 @@ def test_render_round_trip_shape():
 
 
 def test_exactness_checks_raise_under_optimization():
-    # an inexact division and a homogenisation degree below the degree of
-    # the polynomial must raise even with asserts compiled away
+    # an inexact division, a homogenisation degree below the degree of the
+    # polynomial, and a variable that a projection or a univariate view
+    # would drop must raise even with asserts compiled away
     code = (
         "from ruledsym.errors import PreconditionViolation\n"
+        "from ruledsym.mpoly import MultiPoly, project\n"
         "from ruledsym.ratfunc import homogenized_eval\n"
         "from ruledsym.upoly import UniPoly\n"
         "t = UniPoly([0, 1])\n"
+        "s = MultiPoly.var(('s', 'alpha'), 's')\n"
         "for attempt in (lambda: (t * t + 1) // (t + 1),\n"
-        "                lambda: homogenized_eval(t * t, t, t + 1, 1)):\n"
+        "                lambda: homogenized_eval(t * t, t, t + 1, 1),\n"
+        "                lambda: project(s, ('alpha',)),\n"
+        "                lambda: s.to_unipoly('alpha')):\n"
         "    try:\n"
         "        attempt()\n"
         "    except PreconditionViolation:\n"
@@ -169,7 +174,7 @@ def test_exactness_checks_raise_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 # ---- the rational kernel against sympy ----
