@@ -1,17 +1,21 @@
 """Exact real algebraic numbers as elements of real number fields.
 
-A value is either a rational, stored as a Fraction (the fast path), or an
-element of a number field Q(theta).  The field holds a monic irreducible
-rational polynomial m of degree d >= 2 and an isolating interval with
-rational endpoints for the real root theta at which it is embedded; the
-value holds its d rational coordinates on 1, theta, ..., theta^(d-1)
-(Cohen, A Course in Computational Algebraic Number Theory, GTM 138, ch. 4).
+A rational value is a Fraction.  An irrational value is an Alg: an element
+of a number field Q(theta) with a nonconstant coordinate.  The field holds
+a monic irreducible rational polynomial m of degree d >= 2 and an isolating
+interval with rational endpoints for the real root theta at which it is
+embedded; the value holds its d rational coordinates on 1, theta, ...,
+theta^(d-1) (Cohen, A Course in Computational Algebraic Number Theory,
+GTM 138, ch. 4).
 
 Field operations are exact: sums add coordinates, products multiply
 polynomials and reduce modulo m, inverses come from an extended gcd with
 m.  A value is zero exactly when its coordinates are, so a zero test never
-refines anything.  A value whose coordinates are constant is demoted to the
-rational fast path, so an irrational value is never zero.
+refines anything.  Sums and products of two irrational values go through
+NumberField.element, which returns a Fraction when the coordinates are
+constant; a negation, an inverse, a rational shift or a nonzero rational
+scale keeps a nonconstant coordinate.  So an Alg is never rational and
+never zero.
 
 Two values from different fields meet in their join.  A primitive element
 phi = theta_F + c*theta_G, with c = 1, 2, ... until phi's minimal polynomial
@@ -26,7 +30,8 @@ Numeric data is computed only when asked: an enclosing interval by
 evaluating the coordinates on theta's interval (refined by bisection), the
 sign once the exact test has ruled out zero, and the minimal polynomial as
 the first linear dependence among the powers of the value.  Real-root
-isolation and square roots return the generator of a new field.  Because
+isolation and square roots return a Fraction for a rational result and the
+generator of a new field otherwise.  Because
 the minimal polynomial of an irrational value has degree at least two,
 rational interval endpoints are never roots, so refinement never stalls.
 """
@@ -228,7 +233,7 @@ class NumberField:
     def element(self, coords):
         """The value with these coordinates (a Fraction when constant)."""
         if any(coords[1:]):
-            return _irrational(self, tuple(coords))
+            return Alg(self, tuple(coords))
         return coords[0]
 
 
@@ -243,9 +248,9 @@ def common_field(values):
     """
     field, tables = None, {}
     for v in values:
-        f = v.field if isinstance(v, Alg) else None
-        if f is None or f in tables:
+        if not isinstance(v, Alg) or v.field in tables:
             continue
+        f = v.field
         joined, into_old, into_new = \
             (f, None, None) if field is None else field.join(f)
         if into_old is not None:
@@ -256,11 +261,10 @@ def common_field(values):
     degree = 1 if field is None else field.degree
     out = []
     for v in values:
-        v = ensure_alg(v)
-        if v.rat is not None:
-            out.append((v.rat,) + (_ZERO,) * (degree - 1))
-        else:
+        if isinstance(v, Alg):
             out.append(_lift(v.coords, tables[v.field]))
+        else:
+            out.append((v,) + (_ZERO,) * (degree - 1))
     return field, out
 
 
@@ -344,7 +348,7 @@ def _join(f, g):
         g.refine()
 
     phi = _select_root(mu, target, refine)
-    if phi.rat is not None:
+    if not isinstance(phi, Alg):
         raise PreconditionViolation("a primitive element came out rational")
     common = phi.field
     tables = [common.powers(common.coords(UniPoly(p) % common.modulus), d)
@@ -356,40 +360,27 @@ def _join(f, g):
 
 
 class Alg:
-    """Exact real algebraic number: a rational, or an element of a field."""
+    """Exact real irrational number: a field element with a nonconstant
+    coordinate.  Rationals are Fractions, never Algs."""
 
-    __slots__ = ("rat", "field", "coords", "_minpoly", "_seq", "_iv")
+    __slots__ = ("field", "coords", "_minpoly", "_seq", "_iv")
 
-    def __init__(self, rat):
-        self.rat = Fraction(rat) if isinstance(rat, int) else rat
-        self.field = self.coords = None
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = coords
         self._minpoly = self._seq = self._iv = None
-
-    @classmethod
-    def rational(cls, r):
-        return cls(r)
 
     @classmethod
     def _make(cls, minpoly, lo, hi):
         """The root of minpoly in (lo, hi), as the generator of a new field."""
         field = NumberField(minpoly, lo, hi)
-        return _irrational(field, field.gen)
+        return cls(field, field.gen)
 
     # ---- structure ----
 
-    def is_rational(self):
-        return self.rat is not None
-
-    def as_fraction(self):
-        if self.rat is None:
-            raise PreconditionViolation("%r is not rational" % (self,))
-        return self.rat
-
     @property
     def minpoly(self):
-        """Monic minimal polynomial over the rationals (None for rationals)."""
-        if self.rat is not None:
-            return None
+        """Monic minimal polynomial over the rationals."""
         if self._minpoly is None:
             field = self.field
             if self.coords == field.gen:
@@ -401,8 +392,6 @@ class Alg:
 
     def interval(self):
         """Enclosure from the coordinates evaluated on theta's interval."""
-        if self.rat is not None:
-            return Interval.point(self.rat)
         field = self.field
         if self._iv is not None and self._iv[0] == field.steps:
             return self._iv[1]
@@ -419,12 +408,11 @@ class Alg:
         return self._seq
 
     def refine(self):
-        """One bisection step of the field generator (no-op on rationals)."""
-        if self.rat is None:
-            self.field.refine()
+        """One bisection step of the field generator."""
+        self.field.refine()
 
     def refine_below(self, width):
-        while self.rat is None and self.interval().width() >= width:
+        while self.interval().width() >= width:
             self.field.refine()
 
     def _isolating(self, width=None):
@@ -460,23 +448,8 @@ class Alg:
                 return Interval(lo, hi)
             bits += 1
 
-    def sign(self):
-        if self.rat is not None:
-            return (self.rat > 0) - (self.rat < 0)
-        # an irrational value is nonzero, so the enclosure leaves zero
-        for _ in range(_MAX_REFINE):
-            iv = self.interval()
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-            self.field.refine()
-        raise PreconditionViolation("sign refinement did not terminate")
-
     def __float__(self):
         """The nearest double, independent of how far theta was refined."""
-        if self.rat is not None:
-            return float(self.rat)
         while True:
             iv = self.interval()
             lo, hi = float(iv.lo), float(iv.hi)
@@ -485,19 +458,15 @@ class Alg:
             self.field.refine()
 
     def __repr__(self):
-        if self.rat is not None:
-            return "Alg(%s)" % self.rat
         return "Alg(~%.6f, minpoly=%s)" % (float(self), self.minpoly.render("x"))
 
     # ---- equality and order ----
 
     def __eq__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if isinstance(other, _RATIONAL):
+            return False
+        if not isinstance(other, Alg):
             return NotImplemented
-        if self.rat is not None or other.rat is not None:
-            return self.rat is not None and other.rat is not None \
-                and self.rat == other.rat
         if self.field is other.field:
             return self.coords == other.coords
         if self.minpoly != other.minpoly:
@@ -507,131 +476,102 @@ class Alg:
         return lo < hi and self.minpoly.count_roots(lo, hi, self._sturm()) > 0
 
     def __hash__(self):
-        if self.rat is not None:
-            return hash(self.rat)
         return hash(self.minpoly)
 
-    def __lt__(self, other):
-        other = _as_alg(other)
-        if other is None:
+    def _cmp(self, other):
+        """-1, 0 or 1 as self lies below, at or above a rational or
+        irrational other."""
+        if not isinstance(other, _NUMBER):
             return NotImplemented
-        if self.rat is not None and other.rat is not None:
-            return self.rat < other.rat
         if self == other:
-            return False
+            return 0
+        irrational = isinstance(other, Alg)
         for _ in range(_MAX_REFINE):
-            a, b = self.interval(), other.interval()
+            a = self.interval()
+            b = other.interval() if irrational else Interval.point(other)
             if a.hi < b.lo:
-                return True
+                return -1
             if b.hi < a.lo:
-                return False
-            self.refine()
-            other.refine()
+                return 1
+            self.field.refine()
+            if irrational:
+                other.field.refine()
         raise PreconditionViolation("comparison refinement did not terminate")
 
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
+
     def __le__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return eq or self < other
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        le = self.__le__(other)
-        if le is NotImplemented:
-            return NotImplemented
-        return not le
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     # ---- arithmetic ----
 
     def __neg__(self):
-        if self.rat is not None:
-            return Alg(-self.rat)
-        return _irrational(self.field, tuple(-c for c in self.coords))
-
-    def _shift(self, r):
-        """self + r for rational r."""
-        if r == 0:
-            return self
-        return _irrational(self.field,
-                           (self.coords[0] + r,) + self.coords[1:])
-
-    def _scale(self, r):
-        """self * r for rational r."""
-        if r == 0:
-            return Alg(_ZERO)
-        if r == 1:
-            return self
-        return _irrational(self.field, tuple(c * r for c in self.coords))
-
-    def inverse(self):
-        if self.rat is not None:
-            return Alg(1 / self.rat)
-        return _irrational(self.field, self.field.inverse(self.coords))
+        return Alg(self.field, tuple(-c for c in self.coords))
 
     def __add__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if isinstance(other, Alg):
+            return _binary_add(self, other)
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        if self.rat is not None and other.rat is not None:
-            return Alg(self.rat + other.rat)
-        if other.rat is not None:
-            return self._shift(other.rat)
-        if self.rat is not None:
-            return other._shift(self.rat)
-        return _binary_add(self, other)
+        if not other:
+            return self
+        return Alg(self.field, (self.coords[0] + other,) + self.coords[1:])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if not isinstance(other, _NUMBER):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if isinstance(other, Alg):
+            return _binary_mul(self, other)
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        if self.rat is not None and other.rat is not None:
-            return Alg(self.rat * other.rat)
-        if other.rat is not None:
-            return self._scale(other.rat)
-        if self.rat is not None:
-            return other._scale(self.rat)
-        return _binary_mul(self, other)
+        if not other:
+            return _ZERO
+        if other == 1:
+            return self
+        return Alg(self.field, tuple(c * other for c in self.coords))
 
     __rmul__ = __mul__
 
+    def _inverse(self):
+        return Alg(self.field, self.field.inverse(self.coords))
+
     def __truediv__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if isinstance(other, Alg):
+            return self * other._inverse()
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return self * other.inverse()
+        return self * (_ONE / other)
 
     def __rtruediv__(self, other):
-        other = _as_alg(other)
-        if other is None:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return other * self.inverse()
+        return self._inverse() * other
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if self.rat is not None:
-            return Alg(self.rat ** e)
-        out = Alg(_ONE)
+        out = _ONE
         base = self
         while e:
             if e & 1:
@@ -641,38 +581,26 @@ class Alg:
         return out
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if sign(self) < 0 else self
 
 
-def _irrational(field, coords):
-    a = object.__new__(Alg)
-    a.rat = None
-    a.field = field
-    a.coords = coords
-    a._minpoly = a._seq = a._iv = None
-    return a
+_RATIONAL = (int, Fraction)
+_NUMBER = (int, Fraction, Alg)
 
 
-def _element(field, coords):
-    """The value with these coordinates, demoted when they are constant."""
-    if any(coords[1:]):
-        return _irrational(field, coords)
-    return Alg(coords[0])
-
-
-def _as_alg(x):
-    if isinstance(x, Alg):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Alg(x)
-    return None
-
-
-def ensure_alg(x):
-    a = _as_alg(x)
-    if a is None:
-        raise TypeError("cannot interpret %r as an algebraic number" % (x,))
-    return a
+def sign(x):
+    """-1, 0 or 1: the sign of a rational or irrational value."""
+    if not isinstance(x, Alg):
+        return (x > 0) - (x < 0)
+    # an irrational value is nonzero, so its enclosure leaves zero
+    for _ in range(_MAX_REFINE):
+        iv = x.interval()
+        if iv.lo > 0:
+            return 1
+        if iv.hi < 0:
+            return -1
+        x.field.refine()
+    raise PreconditionViolation("sign refinement did not terminate")
 
 
 # ---- binary operations on two irrational values ----
@@ -688,12 +616,12 @@ def _aligned(a, b):
 
 def _binary_add(a, b):
     field, x, y = _aligned(a, b)
-    return _element(field, tuple(u + v for u, v in zip(x, y)))
+    return field.element(tuple(u + v for u, v in zip(x, y)))
 
 
 def _binary_mul(a, b):
     field, x, y = _aligned(a, b)
-    return _element(field, field.mul(x, y))
+    return field.element(field.mul(x, y))
 
 
 def _select_root(poly, target_fn, refine_fn):
@@ -718,35 +646,30 @@ def _select_root(poly, target_fn, refine_fn):
                 hits.extend([(f, None)] * f.count_roots(lo, hi, seq))
         if len(hits) == 1:
             f, r = hits[0]
-            if r is not None:
-                return Alg(r)
-            return Alg._make(f, lo, hi)
+            return r if r is not None else Alg._make(f, lo, hi)
         refine_fn()
     raise PreconditionViolation("root selection did not converge")
 
 
 def alg_sqrt(x):
-    """Exact square root of a nonnegative algebraic number."""
-    x = ensure_alg(x)
-    if x.rat is not None:
-        r = x.rat
-        if r < 0:
-            raise PreconditionViolation("square root of a negative value")
+    """Exact square root of a nonnegative rational or irrational value."""
+    if sign(x) < 0:
+        raise PreconditionViolation("square root of a negative value")
+    if not isinstance(x, Alg):
+        r = Fraction(x)
         if r == 0:
-            return Alg(_ZERO)
+            return _ZERO
         pn, qn = math.isqrt(r.numerator), math.isqrt(r.denominator)
         if pn * pn == r.numerator and qn * qn == r.denominator:
-            return Alg(Fraction(pn, qn))
+            return Fraction(pn, qn)
         lo, hi = _sqrt_bounds(r, 32)
         # r is not a square, so no dyadic bound squares to it
         return Alg._make(UniPoly([-r, 0, 1]), lo, hi)
-    if x.sign() < 0:
-        raise PreconditionViolation("square root of a negative value")
     doubled = x.minpoly(UniPoly([0, 0, 1]))  # minpoly(x^2)
     prec = [32]
 
     def target():
-        # x.sign() > 0 left the enclosure positive, and it only shrinks
+        # sign(x) > 0 left the enclosure positive, and it only shrinks
         iv = x.interval()
         lo, _ = _sqrt_bounds(iv.lo, prec[0])
         _, hi = _sqrt_bounds(iv.hi, prec[0])
@@ -766,7 +689,7 @@ def isolate_real_roots(p):
     roots = []
     for f, _ in factor_rational(p)[1]:
         if f.degree() == 1:
-            roots.append(Alg(-f.coeff(0)))
+            roots.append(-f.coeff(0))
             continue
         seq = f.sturm_sequence()
         bound = f.cauchy_bound()
@@ -797,8 +720,4 @@ def evaluate_certified(poly, point):
     field, where the value is computed exactly.  Returns True exactly when
     the value is zero.
     """
-    values = {}
-    for name, v in point.items():
-        v = ensure_alg(v)
-        values[name] = v.rat if v.rat is not None else v
-    return poly.eval(values) == 0
+    return poly.eval(point) == 0

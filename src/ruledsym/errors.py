@@ -60,7 +60,9 @@ class HeuristicFailure(SymmetryError):
 
 
 class NotAnIsometry(SymmetryError):
-    """A matrix that should be orthogonal is not."""
+    """A motion that cannot be a symmetry of a non-cylindrical surface: a
+    matrix that should be orthogonal is not, or the motion has infinite
+    order."""
 
     code = "NOT_AN_ISOMETRY"
 

@@ -20,7 +20,7 @@ them the way it does for rotations and reflections.
 
 from fractions import Fraction
 
-from .algnum import Alg, common_field, ensure_alg
+from .algnum import common_field, sign
 from .errors import (
     HeuristicFailure,
     PositiveDimensional,
@@ -266,14 +266,7 @@ def detect_revolution_axis(cone):
     axes = []
     for point in points:
         u = tuple(point[nm] for nm in ("u1", "u2", "u3"))
-        sign = 0
-        for x in u:
-            s = ensure_alg(x).sign() if isinstance(x, Alg) else \
-                ((x > 0) - (x < 0))
-            if s:
-                sign = s
-                break
-        if sign < 0:
+        if sign(next(x for x in u if x != 0)) < 0:
             u = tuple(-x for x in u)
         if not any(all(a == b for a, b in zip(u, seen)) for seen in axes):
             axes.append(u)

@@ -15,7 +15,7 @@ geometrically.
 from fractions import Fraction
 from itertools import product
 
-from .algnum import alg_sqrt, ensure_alg
+from .algnum import Alg, alg_sqrt, sign
 from .errors import (
     CylindricalInput,
     NotAnIsometry,
@@ -34,8 +34,7 @@ from .linalg import (
     trace,
 )
 from .mpoly import MultiPoly
-from .phisys import (ReparamCandidate, _plain, build_systems, map_from_point,
-                     psi_parts)
+from .phisys import ReparamCandidate, build_systems, map_from_point, psi_parts
 from .ratfunc import RatFunc, homogenized_eval
 from .solver import solve_parameter_maps, solve_zero_dim
 from .upoly import UniPoly
@@ -116,8 +115,8 @@ class PsiImages:
     __slots__ = ("surface", "candidate", "den", "hq", "hd", "hn", "w")
 
     def __init__(self, surface, candidate):
-        num = UniPoly([_plain(candidate.beta), _plain(candidate.alpha)])
-        den = UniPoly([_plain(candidate.delta), Fraction(candidate.gamma)])
+        num = UniPoly([candidate.beta, candidate.alpha])
+        den = UniPoly([candidate.delta, candidate.gamma])
         m = surface.base_degree
         self.surface = surface
         self.candidate = candidate
@@ -157,7 +156,7 @@ def solve_q_matrices(images):
     surface = images.surface
     n = surface.n
     coeff_rows = [[q.coeff(j) for q in surface.q] for j in range(n + 1)]
-    k = _plain(images.candidate.k)
+    k = images.candidate.k
     particulars, kernel = [], None
     for hq in images.hq:
         image = hq * k
@@ -181,15 +180,15 @@ def solve_q_matrices(images):
         # |part + s w|^2 = 1, one quadratic per row
         lin = 2 * dot(part, w)
         const = dot(part, part) - 1
-        disc = ensure_alg(lin * lin - 4 * ww * const)
-        if disc.sign() < 0:
+        disc = lin * lin - 4 * ww * const
+        if sign(disc) < 0:
             return []
         root = alg_sqrt(disc)
-        scale = 1 / (2 * ensure_alg(ww))
+        scale = 1 / (2 * ww)
         choices = [(-lin + root) * scale]
         if root != 0:
             choices.append((-lin - root) * scale)
-        per_row.append([_plain(s) for s in choices])
+        per_row.append(choices)
     out = []
     for combo in product(*per_row):
         q = tuple(
@@ -274,7 +273,7 @@ def verify_symmetry(surface, candidate, q, b, c):
     depends on nothing the earlier stages computed.
     """
     images = PsiImages(surface, candidate)
-    k = _plain(candidate.k)
+    k = candidate.k
     for i in range(3):
         lhs = UniPoly()
         for j in range(3):
@@ -303,13 +302,11 @@ def verify_symmetry(surface, candidate, q, b, c):
 
 
 def _canonical_direction(v):
-    vals = [ensure_alg(x) for x in v]
-    if all(x.rat is not None for x in vals):
-        fracs = [x.rat for x in vals]
+    if not any(isinstance(x, Alg) for x in v):
         denom = 1
-        for f in fracs:
+        for f in v:
             denom = denom * f.denominator // _gcd(denom, f.denominator)
-        ints = [f * denom for f in fracs]
+        ints = [f * denom for f in v]
         g = 0
         for i in ints:
             g = _gcd(g, abs(i.numerator))
@@ -319,9 +316,8 @@ def _canonical_direction(v):
         if lead is not None and lead < 0:
             ints = [-i for i in ints]
         return tuple(Fraction(i) for i in ints)
-    lead = next((x for x in vals if x != 0), None)
-    inv = lead.inverse()
-    return tuple(_plain(x * inv) for x in vals)
+    inv = 1 / next(x for x in v if x != 0)
+    return tuple(x * inv for x in v)
 
 
 def _gcd(a, b):
@@ -331,10 +327,10 @@ def _gcd(a, b):
     return a if a else 1
 
 
-def _rotation_axis(q, sign):
-    """Kernel direction of Q - sign*I, canonicalized."""
+def _rotation_axis(q, eigenvalue):
+    """Kernel direction of Q - eigenvalue*I, canonicalized."""
     shifted = tuple(
-        tuple(q[i][j] - (sign if i == j else 0) for j in range(3))
+        tuple(q[i][j] - (eigenvalue if i == j else 0) for j in range(3))
         for i in range(3)
     )
     solved = gauss_solve([list(r) for r in shifted], [_ZERO, _ZERO, _ZERO])
@@ -353,11 +349,10 @@ def _sin_from(q, axis, cos):
         q[0][2] - q[2][0],
         q[1][0] - q[0][1],
     )
-    magnitude = alg_sqrt(ensure_alg(1 - cos * cos))
-    orient = ensure_alg(dot(u, axis))
-    if orient.sign() < 0:
-        return _plain(-magnitude)
-    return _plain(magnitude)
+    magnitude = alg_sqrt(1 - cos * cos)
+    if sign(dot(u, axis)) < 0:
+        return -magnitude
+    return magnitude
 
 
 def _axis_point(q, b, axis):
@@ -389,25 +384,31 @@ def _fixed_point(q, b):
 
 
 def classify(q, b):
-    """Name the motion and extract its exact geometric elements."""
-    q = tuple(tuple(_plain(ensure_alg(x)) for x in row) for row in q)
-    b = tuple(_plain(ensure_alg(x)) for x in b)
+    """Name the motion and extract its exact geometric elements.
+
+    A translation, screw motion or glide reflection has infinite order.  A
+    ruling family invariant under one is invariant under the translations
+    in the Zariski closure of the group it generates, so the surface is
+    cylindrical, and cylinders are rejected before any motion is
+    classified; these kinds raise NotAnIsometry.
+    """
+    q = tuple(tuple(x if isinstance(x, Alg) else Fraction(x) for x in row)
+              for row in q)
+    b = tuple(x if isinstance(x, Alg) else Fraction(x) for x in b)
     d = det3(q)
     ident = identity3()
     if d == 1:
         if _same_matrix(q, ident):
             if all(x == 0 for x in b):
                 return "identity", {}
-            return "translation", {"offset": tuple(b)}
-        cos = _plain(ensure_alg(trace(q) - 1) / 2)
+            raise NotAnIsometry("a translation has infinite order")
+        cos = (trace(q) - 1) / 2
         axis = _rotation_axis(q, 1)
         if axis is None:
             raise NotAnIsometry("rotation without a fixed axis direction")
         point = _axis_point(q, b, axis)
         if point is None:
-            shift = _project_onto(b, axis)
-            return "screw", {"axis_direction": axis, "offset": shift,
-                             "cos_angle": cos}
+            raise NotAnIsometry("a screw motion has infinite order")
         geometry = {
             "axis_direction": axis,
             "axis_point": point,
@@ -420,8 +421,7 @@ def classify(q, b):
     if d == -1:
         minus = tuple(tuple(-x for x in row) for row in q)
         if _same_matrix(minus, ident):
-            center = tuple(_plain(ensure_alg(x) / 2) for x in b)
-            return "central_inversion", {"center": center}
+            return "central_inversion", {"center": tuple(x / 2 for x in b)}
         if trace(q) == 1:
             normal = _rotation_axis(q, -1)
             solved = gauss_solve(
@@ -429,17 +429,16 @@ def classify(q, b):
                  for i in range(3)],
                 list(b))
             if solved is None:
-                return "glide_reflection", {"plane_normal": normal}
+                raise NotAnIsometry("a glide reflection has infinite order")
             anchor, _ = solved
-            offset = _plain(ensure_alg(dot(normal, anchor)))
+            offset = dot(normal, anchor)
             nn = dot(normal, normal)
-            foot = tuple(_plain(ensure_alg(x * offset) / nn) for x in normal)
             return "reflection", {
                 "plane_normal": normal,
                 "plane_offset": offset,
-                "plane_point": foot,
+                "plane_point": tuple(x * offset / nn for x in normal),
             }
-        cos = _plain(ensure_alg(trace(q) + 1) / 2)
+        cos = (trace(q) + 1) / 2
         axis = _rotation_axis(q, -1)
         if axis is None:
             raise NotAnIsometry("improper rotation without an axis")
@@ -455,12 +454,6 @@ def classify(q, b):
     raise NotAnIsometry("determinant is not a unit")
 
 
-def _project_onto(b, axis):
-    nn = dot(axis, axis)
-    lam = ensure_alg(dot(b, axis)) / nn
-    return tuple(_plain(lam * x) for x in axis)
-
-
 # ---------------------------------------------------------------------------
 # full pipelines
 
@@ -472,16 +465,13 @@ _KIND_RANK = {
     "rotation": 3,
     "rotoreflection": 4,
     "central_inversion": 5,
-    "translation": 6,
-    "screw": 7,
-    "glide_reflection": 8,
 }
 
 
 def _sort_key(iso):
-    flat = [float(ensure_alg(x)) for row in iso.Q for x in row]
-    flat += [float(ensure_alg(x)) for x in iso.b]
-    return (_KIND_RANK.get(iso.kind, 9), flat)
+    flat = [float(x) for row in iso.Q for x in row]
+    flat += [float(x) for x in iso.b]
+    return (_KIND_RANK[iso.kind], flat)
 
 
 def _finish(isometries):
@@ -571,7 +561,7 @@ def _linear_direction_symmetries(surface):
                 if cand.k == 0 or cand.det() == 0:
                     continue
                 images = PsiImages(surface, cand)
-                b = tuple(_plain(point[name]) for name in ("b1", "b2", "b3"))
+                b = tuple(point[name] for name in ("b1", "b2", "b3"))
                 for q in solve_q_matrices(images):
                     if det3(q) != eps:
                         continue

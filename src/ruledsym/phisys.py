@@ -45,7 +45,9 @@ candidates from the class system are always validated against the raw
 system afterwards.
 """
 
-from .algnum import Alg, alg_sqrt, ensure_alg
+from fractions import Fraction
+
+from .algnum import alg_sqrt, sign
 from .errors import PreconditionViolation
 from .mpoly import MultiPoly, project
 from .ratfunc import homogenized_eval
@@ -66,10 +68,10 @@ class ReparamCandidate:
             raise PreconditionViolation(
                 "gamma must be 0 or 1, not %r" % (gamma,))
         self.gamma = gamma
-        self.alpha = ensure_alg(alpha)
-        self.beta = ensure_alg(beta)
-        self.delta = ensure_alg(delta)
-        self.k = ensure_alg(k)
+        self.alpha = alpha
+        self.beta = beta
+        self.delta = delta
+        self.k = k
         self.n = n
 
     def det(self):
@@ -89,12 +91,6 @@ class ReparamCandidate:
                 % (self.gamma, self.alpha, self.beta, self.delta, self.k))
 
 
-def _plain(v):
-    """Unwrap rational algebraic numbers to Fractions for polynomial work."""
-    v = ensure_alg(v)
-    return v.rat if v.rat is not None else v
-
-
 class ReparamSystem:
     """Polynomial conditions on the parameter map on one chart."""
 
@@ -111,14 +107,6 @@ class ReparamSystem:
         self.norm_square = norm_square
         self.n = n
         self.determinant = determinant
-
-    def unknowns(self):
-        return self.vars
-
-
-def squarefree_classes(m):
-    """Square-free multiplicity classes of the squared direction norm."""
-    return m.squarefree_decomposition()
 
 
 def psi_parts(space, gamma):
@@ -166,7 +154,7 @@ def build_system(surface, gamma):
     t = MultiPoly.var(space, "s") - g * d
     num, den = a * t + b, g * t + d
     m = surface.norm_square()
-    classes = squarefree_classes(m)
+    classes = m.squarefree_decomposition()
     class_eqs = []
     for f, _ in classes:
         class_eqs.extend(_invariance_equations(f, num, den, t, unknowns))
@@ -195,24 +183,16 @@ def scale_factors(system, point):
     general branch), so k comes out as an exact algebraic square root; on
     the affine branch it is simply +/- alpha^(-n).
     """
-    alpha = ensure_alg(point["alpha"])
+    alpha = point["alpha"]
     if system.gamma == 0:
-        k = (alpha ** system.n).inverse()
+        k = 1 / alpha ** system.n
     else:
-        m_alpha = _eval_unipoly_alg(system.norm_square, alpha)
-        big_k = ensure_alg(system.norm_square.lead()) / m_alpha
-        if big_k.sign() <= 0:
+        big_k = system.norm_square.lead() / system.norm_square(alpha)
+        if sign(big_k) <= 0:
             raise PreconditionViolation(
                 "the squared direction norm is not positive at alpha")
         k = alg_sqrt(big_k)
     return k, -k
-
-
-def _eval_unipoly_alg(p, x):
-    total = Alg.rational(0)
-    for c in reversed(p.coeffs):
-        total = total * x + c
-    return total
 
 
 def map_from_point(gamma, point):
@@ -222,8 +202,8 @@ def map_from_point(gamma, point):
     psi_parts.
     """
     if not gamma:
-        return point["alpha"], point["beta"], 1
-    alpha, delta = ensure_alg(point["alpha"]), ensure_alg(point["delta"])
+        return point["alpha"], point["beta"], Fraction(1)
+    alpha, delta = point["alpha"], point["delta"]
     return alpha, alpha * delta + point["c"], delta
 
 

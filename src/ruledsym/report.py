@@ -30,17 +30,12 @@ _GRID_BITS = (math.ceil(1 / _APPROX_WIDTH) - 1).bit_length()
 def encode_value(v):
     """Exact JSON encoding of a rational or real algebraic number."""
     if isinstance(v, Alg):
-        if v.rat is not None:
-            v = v.rat
-        else:
-            iv = v.canonical_interval(_GRID_BITS)
-            return {
-                "minpoly": v.minpoly.render("x"),
-                "interval": [_frac_str(iv.lo), _frac_str(iv.hi)],
-                "approx": _decimal_str((iv.lo + iv.hi) / 2),
-            }
-    if isinstance(v, int):
-        v = Fraction(v)
+        iv = v.canonical_interval(_GRID_BITS)
+        return {
+            "minpoly": v.minpoly.render("x"),
+            "interval": [_frac_str(iv.lo), _frac_str(iv.hi)],
+            "approx": _decimal_str((iv.lo + iv.hi) / 2),
+        }
     return {"rat": _frac_str(v)}
 
 
@@ -72,16 +67,9 @@ def _poly_entries(poly):
 
 def _poly_display(poly, var="t"):
     """Human-readable form when every coefficient is rational, else None."""
-    coeffs = []
-    for c in poly.coeffs:
-        if isinstance(c, Alg):
-            if c.rat is None:
-                return None
-            c = c.rat
-        coeffs.append(Fraction(c))
-    from .upoly import UniPoly
-
-    return UniPoly(coeffs).render(var)
+    if any(isinstance(c, Alg) for c in poly.coeffs):
+        return None
+    return poly.render(var)
 
 
 def encode_ratfunc(r, var="t"):
@@ -117,9 +105,8 @@ def _fixed_locus(kind, geometry):
         }
     if kind == "central_inversion":
         return {"type": "point", "point": encode_vector(geometry["center"])}
-    if kind == "rotoreflection":
-        return {"type": "point", "point": encode_vector(geometry["axis_point"])}
-    return {"type": "empty"}
+    # the last of the six kinds classify names: a rotoreflection
+    return {"type": "point", "point": encode_vector(geometry["axis_point"])}
 
 
 def _angle(geometry):

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import sympy
 
-from .algnum import ensure_alg, evaluate_certified, isolate_real_roots
+from .algnum import evaluate_certified, isolate_real_roots
 from .errors import PositiveDimensional, PreconditionViolation
 from .mpoly import MultiPoly
 from .linalg import gauss_solve
@@ -278,27 +278,16 @@ def solve_zero_dim(equations, vars, linear_tail=(), nonzero=None):
         if not ok:
             continue
         for name in reversed(list(subs)):
-            full[name] = ensure_alg(_eval_at(subs[name], full))
+            full[name] = subs[name].eval(full)
         if all(evaluate_certified(e, full) for e in original):
             out.append(full)
     return _dedupe_points(out, vars + tail)
 
 
-def _eval_at(expr, point):
-    if expr.is_zero():
-        return Fraction(0)
-    return expr.eval({name: _value(point[name]) for name in expr.used_vars()})
-
-
-def _value(v):
-    a = ensure_alg(v)
-    return a.rat if a.rat is not None else a
-
-
 def _solve_tail(eqs, core_point, tail_vars):
     rows, rhs = [], []
     for e in eqs:
-        res = e.substitute_values({k: _value(v) for k, v in core_point.items()
+        res = e.substitute_values({k: v for k, v in core_point.items()
                                    if k in e.used_vars()})
         idx = [res.vars.index(b) for b in tail_vars]
         row = {b: Fraction(0) for b in tail_vars}
@@ -327,7 +316,7 @@ def _solve_tail(eqs, core_point, tail_vars):
     particular, kernel = solved
     if kernel:
         raise PositiveDimensional("translation unknowns underdetermined")
-    return {b: ensure_alg(v) for b, v in zip(tail_vars, particular)}
+    return dict(zip(tail_vars, particular))
 
 
 def _dedupe_points(points, names):
@@ -337,7 +326,7 @@ def _dedupe_points(points, names):
             kept.append(p)
 
     def sort_key(p):
-        return tuple(float(ensure_alg(p[n])) for n in names)
+        return tuple(float(p[n]) for n in names)
 
     kept.sort(key=sort_key)
     return kept
@@ -354,7 +343,7 @@ def solve_parameter_maps(surface, systems):
     """
     candidates = []
     for system in systems:
-        points = solve_zero_dim(system.class_equations, system.unknowns(),
+        points = solve_zero_dim(system.class_equations, system.vars,
                                 nonzero=system.determinant)
         for point in points:
             # before scale_factors, which divides by alpha on the affine chart

@@ -12,9 +12,9 @@ from ruledsym.algnum import (
     Interval,
     alg_sqrt,
     common_field,
-    ensure_alg,
     evaluate_certified,
     isolate_real_roots,
+    sign,
 )
 from ruledsym.errors import PreconditionViolation
 from ruledsym.mpoly import MultiPoly
@@ -24,7 +24,7 @@ SQRT2 = UniPoly([-2, 0, 1])
 
 
 def sqrt_of(n):
-    return alg_sqrt(Alg.rational(Fraction(n)))
+    return alg_sqrt(Fraction(n))
 
 
 def test_interval_arithmetic():
@@ -36,34 +36,24 @@ def test_interval_arithmetic():
     assert a.width() == 1 and Interval.point(Fraction(5)).width() == 0
 
 
-def test_rational_fast_paths():
-    a = Alg.rational(Fraction(3, 2))
-    b = Alg.rational(Fraction(1, 2))
-    assert (a + b).as_fraction() == 2
-    assert (a * b).as_fraction() == Fraction(3, 4)
-    assert (a / b).as_fraction() == 3
-    assert a > b and not a < b and a != b
-    assert a == Fraction(3, 2) and a != Fraction(1, 3)
-
-
 def test_sqrt2_basics():
     r = sqrt_of(2)
     assert r.minpoly == SQRT2
-    assert not r.is_rational()
+    assert isinstance(r, Alg)
     assert 1 < r < 2
     assert abs(float(r) - 2 ** 0.5) < 1e-12
-    assert sqrt_of(9).as_fraction() == 3
-    assert sqrt_of(Fraction(0)).as_fraction() == 0
+    assert Fraction(sqrt_of(9)) == 3
+    assert Fraction(sqrt_of(Fraction(0))) == 0
     with pytest.raises(PreconditionViolation):
-        alg_sqrt(Alg.rational(-1))
+        alg_sqrt(Fraction(-1))
 
 
 def test_sum_of_roots_demotes_to_rational():
     r = sqrt_of(2)
     s = -r
-    assert (r + s).is_rational() and (r + s).as_fraction() == 0
-    assert (r * r).as_fraction() == 2
-    assert (r * r.inverse()).as_fraction() == 1
+    assert Fraction(r + s) == 0
+    assert Fraction(r * r) == 2
+    assert Fraction(r * (1 / r)) == 1
 
 
 def test_sqrt2_plus_sqrt3():
@@ -77,7 +67,7 @@ def test_product_and_quotient():
     v = sqrt_of(2) * sqrt_of(3)
     assert v == sqrt_of(6)
     w = sqrt_of(8) / sqrt_of(2)
-    assert w.is_rational() and w.as_fraction() == 2
+    assert Fraction(w) == 2
 
 
 def test_rational_shift_and_scale():
@@ -91,8 +81,8 @@ def test_rational_shift_and_scale():
 def test_order_and_sign():
     r2, r3 = sqrt_of(2), sqrt_of(3)
     assert r2 < r3 and r3 > r2
-    assert (-r2).sign() == -1 and r2.sign() == 1
-    assert sorted([r3, Alg.rational(1), -r2, r2]) == [-r2, Alg.rational(1), r2, r3]
+    assert sign(-r2) == -1 and sign(r2) == 1
+    assert sorted([r3, Fraction(1), -r2, r2]) == [-r2, Fraction(1), r2, r3]
     assert abs(-r2) == r2
 
 
@@ -154,7 +144,7 @@ def test_common_field_folds_three_fields_into_one():
     for v, c in zip(values, coords):
         assert field.element(c) == v
     assert isinstance(field.element(coords[1]), Fraction)
-    assert common_field([Fraction(2), Alg(3)]) == (None, [(2,), (3,)])
+    assert common_field([Fraction(2), Fraction(3)]) == (None, [(2,), (3,)])
 
 
 def test_isolate_real_roots():
@@ -169,6 +159,18 @@ def test_isolate_real_roots():
     assert isolate_real_roots(UniPoly([1, 0, 1])) == []
 
 
+def test_rational_results_are_fractions():
+    # a rational value is always a Fraction, never an int or an Alg
+    roots = isolate_real_roots(UniPoly([-2, 0, 1]) * UniPoly([-1, 2]))
+    assert [type(r) for r in roots] == [Alg, Fraction, Alg]
+    assert roots[1] == Fraction(1, 2)
+    r = sqrt_of(2)
+    rational = [alg_sqrt(Fraction(9, 4)), alg_sqrt(0), r * r, r - r,
+                (1 / r) * r, r ** 0, r * 0, 0 * r]
+    assert all(type(v) is Fraction for v in rational)
+    assert rational[0] == Fraction(3, 2) and rational[4] == 1
+
+
 def test_evaluate_certified_zero_and_nonzero():
     vars = ("u", "v")
     u = MultiPoly.var(vars, "u")
@@ -180,7 +182,7 @@ def test_evaluate_certified_zero_and_nonzero():
     # u*v - sqrt(6) is a true zero that needs the exact fallback
     prod = sqrt_of(6)
     expr = u * v - 1
-    shifted = {"u": r2 * r3, "v": prod.inverse()}
+    shifted = {"u": r2 * r3, "v": 1 / prod}
     assert evaluate_certified(expr, shifted)
 
 
@@ -193,25 +195,19 @@ def test_evaluate_certified_rational_points():
 
 def test_random_arith_consistency():
     rng = random.Random(17)
-    pool = [sqrt_of(2), sqrt_of(3), sqrt_of(5), Alg.rational(Fraction(1, 3))]
+    pool = [sqrt_of(2), sqrt_of(3), sqrt_of(5), Fraction(1, 3)]
     for _ in range(12):
         a, b = rng.choice(pool), rng.choice(pool)
         s = a + b
         d = s - b
         assert d == a
         p = a * b
-        if b.sign() != 0:
+        if sign(b) != 0:
             q = p / b
             assert q == a
         fa, fb = float(a), float(b)
         assert abs(float(s) - (fa + fb)) < 1e-9
         assert abs(float(p) - fa * fb) < 1e-9
-
-
-def test_ensure_alg():
-    assert ensure_alg(3).as_fraction() == 3
-    with pytest.raises(TypeError):
-        ensure_alg("x")
 
 
 # Generators of Q(sqrt 2), Q(sqrt 3), Q(cbrt 2) and Q(sqrt 12) = Q(sqrt 3),
@@ -232,7 +228,7 @@ def field_elements(draw):
     coeffs = draw(st.lists(
         st.fractions(min_value=-4, max_value=4, max_denominator=6),
         min_size=1, max_size=gen.field.degree))
-    value, fvalue = Alg.rational(0), 0.0
+    value, fvalue = Fraction(0), 0.0
     for i, c in enumerate(coeffs):
         value = value + c * gen ** i
         fvalue += float(c) * approx ** i
@@ -241,8 +237,8 @@ def field_elements(draw):
 
 def _check_value(v, approx):
     if abs(approx) > 1e-6:
-        assert v.sign() == (1 if approx > 0 else -1)
-    if not v.is_rational():
+        assert sign(v) == (1 if approx > 0 else -1)
+    if isinstance(v, Alg):
         assert any(v.coords[1:])
         assert v.minpoly(v) == 0
         assert v.minpoly.lead() == 1
@@ -253,11 +249,11 @@ def _check_value(v, approx):
 def test_field_arithmetic_properties(x, y, z):
     (a, fa, ca), (b, fb, _), (c, fc, _) = x, y, z
     # constant coordinates come back as rationals
-    assert a.is_rational() == (not any(ca[1:]))
+    assert isinstance(a, Alg) == any(ca[1:])
     assert (a + b) - b == a
     if b != 0:
         assert a * b / b == a
-    assert (a - a).is_rational() and (a - a) == 0
+    assert Fraction(a - a) == 0
     for v, approx in ((a, fa), (a + b, fa + fb), (a * b, fa * fb),
                       ((a + b) * c, (fa + fb) * fc)):
         _check_value(v, approx)

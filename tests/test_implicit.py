@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ruledsym import implicit as implicit_module
-from ruledsym.algnum import alg_sqrt
+from ruledsym.algnum import alg_sqrt, sign
 from ruledsym.errors import HeuristicFailure, PreconditionViolation, ZeroInput
 from ruledsym.implicit import (
     ImplicitSurface,
@@ -185,7 +185,7 @@ def test_detect_revolution_axis_exact():
     assert len(axes) == 1
     u = axes[0]
     assert u[0].minpoly == UniPoly([Fraction(-1, 3), 0, 1])
-    assert u[0].sign() > 0
+    assert sign(u[0]) > 0
     assert all(x == u[0] for x in u)
 
 

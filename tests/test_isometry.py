@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ruledsym.algnum import Alg, alg_sqrt, ensure_alg
-from ruledsym.errors import CylindricalInput
+from ruledsym.algnum import Alg, alg_sqrt, sign
+from ruledsym.errors import CylindricalInput, NotAnIsometry
 from ruledsym.isometry import (
     Isometry,
     PsiImages,
@@ -165,7 +165,7 @@ def test_cone_x2_contains_exact_third_turn(corpus):
     assert rots, "2pi/3 rotation about the z-axis is missing"
     f = rots[0]
     # entries live in Q(sqrt 3): sin = ±sqrt(3)/2, so Q[1][0] = ±sqrt(3)/2
-    entry = ensure_alg(f.Q[1][0])
+    entry = f.Q[1][0]
     assert entry.minpoly == UniPoly([Fraction(-3, 4), 0, 1])
     assert f.Q[0][0] == Fraction(-1, 2) and f.Q[2][2] == 1
     assert f.b == (0, 0, 0)
@@ -306,37 +306,54 @@ def test_identity_candidate_can_carry_extra_matrices():
     assert len(mats) == 2
 
 
+def _is_exact_value(v):
+    """A Fraction, or an Alg with a nonconstant coordinate."""
+    if isinstance(v, Alg):
+        return any(v.coords[1:])
+    return type(v) is Fraction
+
+
+@pytest.mark.parametrize("name", ["golden", "x2", "cone_x2", "linear_q"])
+def test_symmetry_values_are_fractions_or_irrational(corpus, name):
+    syms = symmetries(corpus[name])
+    assert syms
+    for f in syms:
+        cand = f.candidate
+        values = [x for row in f.Q for x in row] + list(f.b)
+        values += [cand.alpha, cand.beta, cand.delta, cand.k]
+        values += list(f.c.num.coeffs) + list(f.c.den.coeffs)
+        for v in f.geometry.values():
+            values += list(v) if isinstance(v, tuple) else [v]
+        assert all(_is_exact_value(v) for v in values), (f, values)
+
+
 # ---------------------------------------------------------------------------
 # classification unit checks
 
 
-def test_classify_identity_and_translation():
+def test_classify_identity():
     assert classify(I3, (0, 0, 0)) == ("identity", {})
-    kind, geom = classify(I3, (1, 2, 3))
-    assert kind == "translation" and geom["offset"] == (1, 2, 3)
 
 
-def test_classify_screw_and_glide():
-    half_turn_z = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
-    kind, geom = classify(half_turn_z, (0, 0, 5))
-    assert kind == "screw"
-    assert geom["axis_direction"] == (0, 0, 1)
-    assert geom["offset"] == (0, 0, 5)
-    mirror_x = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
-    kind, geom = classify(mirror_x, (0, 3, 0))
-    assert kind == "glide_reflection"
-    assert geom["plane_normal"] == (1, 0, 0)
+def test_classify_rejects_motions_of_infinite_order():
+    # a surface invariant under one of these is cylindrical
+    translation = (I3, (1, 2, 3))
+    screw = (((-1, 0, 0), (0, -1, 0), (0, 0, 1)), (0, 0, 5))
+    glide_reflection = (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 3, 0))
+    for q, b in (translation, screw, glide_reflection):
+        with pytest.raises(NotAnIsometry):
+            classify(q, b)
 
 
 def test_classify_rotation_angle_and_axis():
     half = Fraction(1, 2)
-    s = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    s = alg_sqrt(Fraction(3, 4))
     q = ((half, -s, 0), (s, half, 0), (0, 0, 1))
     kind, geom = classify(q, (0, 0, 0))
     assert kind == "rotation"
     assert geom["axis_direction"] == (0, 0, 1)
     assert geom["cos_angle"] == half
-    assert ensure_alg(geom["sin_angle"]).sign() > 0
+    assert sign(geom["sin_angle"]) > 0
 
 
 def test_classify_reflection_plane():
@@ -356,7 +373,7 @@ def test_classify_central_inversion():
 
 
 def test_classify_rotoreflection_fixed_point():
-    s = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    s = alg_sqrt(Fraction(3, 4))
     q = ((-Fraction(1, 2), s, 0), (-s, -Fraction(1, 2), 0), (0, 0, -1))
     kind, geom = classify(q, (0, 0, 2))
     assert kind == "rotoreflection"
@@ -369,8 +386,9 @@ def test_isometry_involution_flags():
     mirror = Isometry(((1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, 0, 4),
                       None, None)
     assert mirror.is_involution()
-    slide = Isometry(I3, (1, 0, 0), None, None)
-    assert not slide.is_involution()
+    quarter_turn = Isometry(((0, -1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0),
+                            None, None)
+    assert not quarter_turn.is_involution()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ruledsym.algnum import Alg, alg_sqrt
+from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import PreconditionViolation
 from ruledsym.mpoly import MultiPoly, project
 from ruledsym.phisys import (
@@ -16,7 +16,6 @@ from ruledsym.phisys import (
     build_systems,
     candidate_from_point,
     scale_factors,
-    squarefree_classes,
 )
 from ruledsym.ratfunc import homogenized_eval
 from ruledsym.solver import sympy_poly
@@ -39,7 +38,7 @@ def _general_point(alpha, beta, delta):
 
 def test_golden_class_structure(golden):
     m = golden.norm_square()
-    classes = squarefree_classes(m)
+    classes = m.squarefree_decomposition()
     by_mult = {mult: f for f, mult in classes}
     assert set(by_mult) == {1, 2}
     assert by_mult[2] == UniPoly([1, 0, 1])  # t^2 + 1
@@ -53,7 +52,7 @@ def test_golden_class_structure(golden):
 def test_affine_system_golden_solutions(golden):
     system = build_affine_system(golden)
     assert system.gamma == 0
-    assert system.unknowns() == ("alpha", "beta")
+    assert system.vars == ("alpha", "beta")
     assert system.class_equations and system.raw_equations
     # identity and the half-turn t -> -t solve every equation ...
     for a in (1, -1):
@@ -66,7 +65,7 @@ def test_affine_system_golden_solutions(golden):
 def test_general_system_golden_solutions(golden):
     system = build_general_system(golden)
     assert system.gamma == 1
-    assert system.unknowns() == ("alpha", "delta", "c")
+    assert system.vars == ("alpha", "delta", "c")
     # t -> 1/t and t -> (t+1)/(t-1) are symmetries of the golden surface
     for abd in [(0, 1, 0), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
                 (0, -1, 0), (-1, -1, -1)]:
@@ -136,9 +135,8 @@ def test_scale_factors_irrational_square_root():
     ks = scale_factors(system, {"alpha": Fraction(2), "beta": Fraction(0),
                                 "delta": Fraction(0)})
     k = max(ks, key=float)
-    expected = alg_sqrt(Alg.rational(Fraction(m.lead(), 1) /
-                                     sum(c * 2 ** i
-                                         for i, c in enumerate(m.coeffs))))
+    expected = alg_sqrt(Fraction(m.lead(), 1) /
+                        sum(c * 2 ** i for i, c in enumerate(m.coeffs)))
     assert k == expected
 
 
@@ -168,7 +166,7 @@ def test_candidate_accessors(golden):
 def test_build_systems_pair(golden):
     systems = build_systems(golden)
     assert [s.gamma for s in systems] == [0, 1]
-    assert [s.unknowns() for s in systems] == [
+    assert [s.vars for s in systems] == [
         ("alpha", "beta"), ("alpha", "delta", "c")]
     assert all(s.class_equations and s.raw_equations for s in systems)
 
@@ -183,7 +181,7 @@ def _t_form_class_equations(surface, unknowns):
     t, alpha, beta, delta, c = (MultiPoly.var(space, v) for v in space)
     num, den = alpha * t + beta, t + delta
     eqs = []
-    for f, _ in squarefree_classes(surface.norm_square()):
+    for f, _ in surface.norm_square().squarefree_decomposition():
         d = f.degree()
         coeffs = homogenized_eval(f, num, den, d).as_univar("t")
         for j in range(d):
@@ -209,7 +207,7 @@ def test_general_chart_equations_generate_the_t_form_ideal(name):
     surface = build_surface(name)
     system = build_general_system(surface)
     s_form = system.class_equations
-    t_form = _t_form_class_equations(surface, system.unknowns())
+    t_form = _t_form_class_equations(surface, system.vars)
     assert s_form and t_form
     s_basis, t_basis = _lex_basis(s_form), _lex_basis(t_form)
     assert all(t_basis.contains(sympy_poly(e).as_expr()) for e in s_form)

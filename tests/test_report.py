@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ruledsym.algnum import Alg, alg_sqrt
+from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import PreconditionViolation
 from ruledsym.report import (
     SymmetryReport,
@@ -24,11 +24,10 @@ def test_encode_value_rational():
     assert encode_value(Fraction(4, 3)) == {"rat": "4/3"}
     assert encode_value(Fraction(-7)) == {"rat": "-7"}
     assert encode_value(5) == {"rat": "5"}
-    assert encode_value(Alg.rational(Fraction(1, 2))) == {"rat": "1/2"}
 
 
 def test_encode_value_algebraic():
-    root = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    root = alg_sqrt(Fraction(3, 4))
     enc = encode_value(root)
     assert set(enc) == {"minpoly", "interval", "approx"}
     assert enc["minpoly"] == "x^2 - 3/4"
@@ -40,8 +39,8 @@ def test_encode_value_algebraic():
 
 
 def test_encode_value_is_independent_of_refinement_depth():
-    shallow = alg_sqrt(Alg.rational(Fraction(3, 4)))
-    deep = alg_sqrt(Alg.rational(Fraction(3, 4)))
+    shallow = alg_sqrt(Fraction(3, 4))
+    deep = alg_sqrt(Fraction(3, 4))
     deep.refine_below(Fraction(1, 1 << 200))
     assert shallow.interval().lo != deep.interval().lo
     enc = encode_value(shallow)

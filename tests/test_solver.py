@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ruledsym.algnum import Alg, alg_sqrt
+from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import PositiveDimensional, PreconditionViolation
 from ruledsym.mpoly import MultiPoly
 from ruledsym.phisys import (
@@ -29,7 +29,7 @@ def test_single_variable():
     pts = solve_zero_dim([eq], v)
     assert len(pts) == 2
     lo, hi = pts[0]["x"], pts[1]["x"]
-    assert lo == -alg_sqrt(Alg.rational(2)) and hi == alg_sqrt(Alg.rational(2))
+    assert lo == -alg_sqrt(Fraction(2)) and hi == alg_sqrt(Fraction(2))
 
 
 def test_circle_line_intersection():
@@ -37,7 +37,7 @@ def test_circle_line_intersection():
     circle = _mp(v, lambda s: s["x"] ** 2 + s["y"] ** 2 - 5)
     line = _mp(v, lambda s: s["x"] - s["y"] - 1)
     pts = solve_zero_dim([circle, line], v)
-    got = {(p["x"].as_fraction(), p["y"].as_fraction()) for p in pts}
+    got = {(Fraction(p["x"]), Fraction(p["y"])) for p in pts}
     assert got == {(Fraction(2), Fraction(1)), (Fraction(-1), Fraction(-2))}
 
 
@@ -60,9 +60,9 @@ def test_linear_chain_substitution():
     pts = solve_zero_dim(eqs, v)
     assert len(pts) == 1
     p = pts[0]
-    assert p["x"].as_fraction() == Fraction(3, 2)
-    assert p["y"].as_fraction() == Fraction(3, 2)
-    assert p["z"].as_fraction() == Fraction(3)
+    assert Fraction(p["x"]) == Fraction(3, 2)
+    assert Fraction(p["y"]) == Fraction(3, 2)
+    assert Fraction(p["z"]) == Fraction(3)
 
 
 def test_positive_dimensional_detected():
@@ -84,7 +84,7 @@ def test_nonzero_saturates_away_a_component():
     eqs = [_mp(v, lambda s: s["x"] * s["y"]),
            _mp(v, lambda s: s["x"] * (s["x"] - 1))]
     pts = solve_zero_dim(eqs, v, nonzero=_mp(v, lambda s: s["x"]))
-    got = {(p["x"].as_fraction(), p["y"].as_fraction()) for p in pts}
+    got = {(Fraction(p["x"]), Fraction(p["y"])) for p in pts}
     assert got == {(Fraction(1), Fraction(0))}
     with pytest.raises(PositiveDimensional):
         solve_zero_dim(eqs, v)
@@ -100,7 +100,7 @@ def test_degenerate_complex_component_is_harmless():
         _mp(v, lambda s: s["x"] ** 3 - s["x"]),
     ]
     pts = solve_zero_dim(eqs, v)
-    got = {(p["x"].as_fraction(), p["y"].as_fraction(), p["z"].as_fraction())
+    got = {(Fraction(p["x"]), Fraction(p["y"]), Fraction(p["z"]))
            for p in pts}
     assert got == {(Fraction(a), Fraction(2), Fraction(1)) for a in (-1, 0, 1)}
 
@@ -115,7 +115,7 @@ def test_spurious_projection_combinations_are_culled():
         _mp(v, lambda s: s["x"] - s["y"] * s["y"] * s["y"]),
     ]
     pts = solve_zero_dim(eqs, v)
-    got = {(p["x"].as_fraction(), p["y"].as_fraction()) for p in pts}
+    got = {(Fraction(p["x"]), Fraction(p["y"])) for p in pts}
     assert got == {(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(-1))}
 
 
@@ -127,7 +127,7 @@ def test_linear_tail_solved_per_point():
         _mp(v, lambda s: s["b1"] - s["b2"] - 1),
     ]
     pts = solve_zero_dim(eqs, ("x",), linear_tail=("b1", "b2"))
-    got = {(p["x"].as_fraction(), p["b1"].as_fraction(), p["b2"].as_fraction())
+    got = {(Fraction(p["x"]), Fraction(p["b1"]), Fraction(p["b2"]))
            for p in pts}
     assert got == {(Fraction(2), Fraction(1), Fraction(0)),
                    (Fraction(-2), Fraction(1), Fraction(0))}
@@ -167,7 +167,7 @@ def test_golden_affine_parameter_maps(golden):
     system = build_affine_system(golden)
     cands = solve_parameter_maps(golden, [system])
     assert len(cands) == 4
-    seen = {(c.alpha.as_fraction(), c.beta.as_fraction(), c.k.as_fraction())
+    seen = {(Fraction(c.alpha), Fraction(c.beta), Fraction(c.k))
             for c in cands}
     assert seen == {(Fraction(1), Fraction(0), Fraction(1)),
                     (Fraction(1), Fraction(0), Fraction(-1)),
@@ -180,8 +180,8 @@ def test_golden_general_parameter_maps(golden):
     system = build_general_system(golden)
     cands = solve_parameter_maps(golden, [system])
     assert len(cands) == 12
-    triples = {(c.alpha.as_fraction(), c.beta.as_fraction(),
-                c.delta.as_fraction()) for c in cands}
+    triples = {(Fraction(c.alpha), Fraction(c.beta),
+                Fraction(c.delta)) for c in cands}
     assert triples == {
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(-1), Fraction(0)),
@@ -192,7 +192,7 @@ def test_golden_general_parameter_maps(golden):
     }
     for c in cands:
         expect = Fraction(1, 8) if c.alpha != 0 else Fraction(1)
-        assert abs(c.k.as_fraction()) == expect
+        assert abs(Fraction(c.k)) == expect
 
 
 def test_x2_general_branch_maps(monkeypatch):
@@ -208,7 +208,7 @@ def test_x2_general_branch_maps(monkeypatch):
     cands = solve_parameter_maps(surface, build_systems(surface))
     # two bases per branch: the cover and the saturated basis
     assert len(calls) <= 4
-    root = alg_sqrt(Alg.rational(Fraction(1, 3)))
+    root = alg_sqrt(Fraction(1, 3))
     expected = [(a, b, -a * b) for a in (root, -root)
                 for b in (Fraction(1), Fraction(-1))]
     maps = []

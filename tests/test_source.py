@@ -55,3 +55,28 @@ def test_no_module_level_mutable_containers(path):
     # an empty module-level container is a cache or registry that would
     # carry state from one in-process call to the next
     assert _empty_containers(path) == []
+
+
+def _is_alg(node):
+    return (isinstance(node, ast.Name) and node.id == "Alg") or \
+        (isinstance(node, ast.Attribute) and node.attr == "Alg")
+
+
+def _alg_constructions(path):
+    """Lines that call Alg(...) or one of its class methods."""
+    tree = ast.parse(path.read_text())
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (_is_alg(node.func)
+                       or (isinstance(node.func, ast.Attribute)
+                           and _is_alg(node.func.value))))
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_algnum_builds_alg_values(path):
+    # whether a value is a Fraction or an Alg is decided in algnum alone
+    if path.name == "algnum.py":
+        assert _alg_constructions(path)
+    else:
+        assert _alg_constructions(path) == []

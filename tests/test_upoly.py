@@ -9,7 +9,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from ruledsym.algnum import Alg, alg_sqrt
+from ruledsym.algnum import alg_sqrt
+from ruledsym.mpoly import MultiPoly
 from ruledsym.ratfunc import homogenized_eval
 from ruledsym.upoly import UniPoly, factor_rational, frac_gcd, poly_gcd, poly_lcm
 
@@ -179,7 +180,7 @@ def test_exactness_checks_raise_under_optimization():
 
 # ---- the rational kernel against sympy ----
 
-SQRT2 = alg_sqrt(Alg.rational(2))
+SQRT2 = alg_sqrt(Fraction(2))
 
 rationals = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -224,9 +225,10 @@ def test_rational_kernel_matches_sympy(a, b, p, pad):
              * sb ** (m - i) for i, c in enumerate(p.coeffs)]
     want = from_sympy(sum(terms, to_sympy(UniPoly())))
     assert homogenized_eval(p, a, b, m) == want
-    # the generic Horner loop, with the same values as Alg coefficients
-    a_alg = UniPoly([Alg.rational(c) for c in a.coeffs])
-    assert homogenized_eval(p, a_alg, b, m) == want
+    # the generic Horner loop, with the same values as MultiPolys in t
+    a_gen, b_gen = (MultiPoly.from_unipoly(("t",), "t", x) for x in (a, b))
+    assert homogenized_eval(p, a_gen, b_gen, m) == \
+        MultiPoly.from_unipoly(("t",), "t", want)
     # one product through the generic loop, with coefficients in Q(sqrt 2)
     shift = UniPoly([SQRT2, 1])
     got = a * shift
