@@ -281,11 +281,12 @@ def _lift(coords, table):
     return tuple(out)
 
 
-def _first_dependence(powers):
+def first_dependence(powers):
     """Monic polynomial from the first power that depends on the earlier ones.
 
-    powers are the coordinate vectors of a^0, a^1, ..., a^d in a field of
-    degree d, so the last one depends on the others at the latest.
+    powers are the coordinate vectors of a^0, a^1, ..., a^d in a field or
+    quotient ring of dimension d over the rationals, so the last one depends
+    on the others at the latest.
     """
     size = len(powers[0])
     for k in range(1, len(powers)):
@@ -386,7 +387,7 @@ class Alg:
             if self.coords == field.gen:
                 self._minpoly = field.modulus
             else:
-                self._minpoly = _first_dependence(
+                self._minpoly = first_dependence(
                     field.powers(self.coords, field.degree + 1))
         return self._minpoly
 

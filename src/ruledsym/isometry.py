@@ -69,10 +69,9 @@ class Isometry:
 
     def is_involution(self):
         """Whether applying the motion twice gives the identity."""
-        if not _same_matrix(mat_mul(self.Q, self.Q), identity3()):
-            return False
-        moved = tuple(v + w for v, w in zip(mat_vec(self.Q, self.b), self.b))
-        return all(v == 0 for v in moved)
+        # Q^2 = I with Q b + b != 0 is a translation, screw or glide, which
+        # classify refuses to build, so Q alone decides
+        return _same_matrix(mat_mul(self.Q, self.Q), identity3())
 
     def __repr__(self):
         return "Isometry(%s)" % self.kind
@@ -548,9 +547,13 @@ def _linear_direction_symmetries(surface):
         for eps in (1, -1):
             eqs = _linear_direction_equations(
                 surface, gamma, eps, u, v, normal, frame_inv)
+            # the map's determinant (alpha or -c) and k must not vanish
+            nonzero = MultiPoly.var(_LINEAR_VARS, "alpha" if gamma == 0
+                                    else "c") * MultiPoly.var(_LINEAR_VARS, "k")
             try:
                 points = solve_zero_dim(eqs, unknowns,
-                                        linear_tail=("b1", "b2", "b3"))
+                                        linear_tail=("b1", "b2", "b3"),
+                                        nonzero=nonzero)
             except PositiveDimensional:
                 raise PositiveDimensional(
                     "the coupled symmetry system for a degree-one "
@@ -558,8 +561,6 @@ def _linear_direction_symmetries(surface):
             for point in points:
                 cand = ReparamCandidate(
                     gamma, *map_from_point(gamma, point), point["k"], 1)
-                if cand.k == 0 or cand.det() == 0:
-                    continue
                 images = PsiImages(surface, cand)
                 b = tuple(point[name] for name in ("b1", "b2", "b3"))
                 for q in solve_q_matrices(images):

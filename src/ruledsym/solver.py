@@ -1,45 +1,55 @@
 """Exact solving of the zero-dimensional systems produced by the method.
 
-Each system costs at most two lex Groebner bases (sympy, over the
-rationals).  The first, with the first core unknown ordered last, gives
-that unknown's eliminant; its irreducible factors without real roots are
-dropped, since no real solution lives over them.  Dropping them removes the
-positive-dimensional *complex* components that occur on the degenerate
-locus of the fractional-linear map whenever the system is built from a
-norm-square with nonreal roots.
+Each system costs one lex Groebner basis (sympy, over the rationals) of
+its equations and, when the caller names a polynomial that must not
+vanish, the Rabinowitsch equation u * nonzero - 1, which saturates the
+ideal by that polynomial (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 4).  The parameter-map solve passes the chart's
+determinant of the map (alpha on the affine chart, -c on the general
+chart, see phisys), which removes the degenerate components of the
+fractional-linear map.  A unit basis means no solution; a basis that is
+not zero-dimensional raises PositiveDimensional.
 
-The second basis adjoins the product of the remaining factors and, when
-the caller names a polynomial that must not vanish, the Rabinowitsch
-equation u * nonzero - 1, which saturates the ideal by that polynomial
-(Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4).  The
-parameter-map solve passes the chart's determinant of the map (alpha on
-the affine chart, -c on the general chart, see phisys), which removes the
-degenerate components over real roots as well.  That basis must be
-zero-dimensional, otherwise PositiveDimensional is raised.  The other
-unknowns' eliminants are read from it as minimal polynomials of
-multiplication in the finite-dimensional quotient ring, not from one lex
-basis per unknown.
+The points are read from a rational univariate representation
+(Rouillier, Solving zero-dimensional systems through the rational
+univariate representation, AAECC 1999).  The quotient ring Q[x]/I has
+dimension D, the number of standard monomials of the basis.  A linear form
+theta = sum_i k^i x_i over every unknown of the basis (u and the linear
+tail included), for k = 1, 2, ..., is accepted when the minimal polynomial
+of multiplication by theta, read from the normal forms of 1, theta,
+theta^2, ..., has degree D.  Then Q[theta] is the whole quotient, so each
+core unknown is a polynomial h_i(theta) by one linear solve on the same
+normal forms (the plain span, not Rouillier's trace formula), and each
+real root r of theta's polynomial is exactly one real point
+{x_i: h_i(r)}, with all coordinates in r's field.  This holds whether or
+not I is radical.
 
-Every eliminant vanishes on all common zeros of the system, so candidate
-points are assembled from per-coordinate real roots and validated exactly
-against every original equation, which removes the spurious combinations.
+No theta can reach degree D when a point has embedding dimension above
+one (x^2 = xy = y^2 = 0 at the origin).  If no k up to
+(n - 1) D (D - 1) / 2 + 1 qualifies, the square-free part of each
+unknown's minimal polynomial is adjoined, which gives the radical
+(Seidenberg's lemma; Cox, Little, O'Shea, Using Algebraic Geometry, ch. 2
+section 2), and the basis is computed once more.  On a radical ideal
+with D points that many k always suffice: each pair of points agrees on
+theta for at most n - 1 values of k.
 
-Equations may also involve trailing unknowns that appear at most linearly
-(the translation part of an isometry does); those are solved per
-candidate point by exact linear algebra over the algebraic numbers.
+Every point is still certified against the original equations, which
+also covers the values eliminated by linear substitution and the
+trailing unknowns that appear at most linearly (the translation part of
+an isometry does); those are solved per point by exact linear algebra
+over the algebraic numbers.
 """
 
-import itertools
 from fractions import Fraction
 
 import sympy
 
-from .algnum import evaluate_certified, isolate_real_roots
+from .algnum import evaluate_certified, first_dependence, isolate_real_roots
 from .errors import PositiveDimensional, PreconditionViolation
 from .mpoly import MultiPoly
 from .linalg import gauss_solve
 from .phisys import candidate_from_point, scale_factors
-from .upoly import UniPoly, factor_rational, poly_gcd
+from .upoly import UniPoly
 
 
 def sympy_poly(e):
@@ -61,117 +71,109 @@ def _clean(equations):
     return eqs
 
 
-def _univariate(basis, var):
-    """Generator of the basis's ideal intersected with Q[var], or None."""
-    target = sympy.Symbol(var)
-    collapsed = UniPoly()
-    for g in basis.exprs:
-        if g.free_symbols <= {target}:
-            coeffs = sympy.Poly(g, target).all_coeffs()
-            u = UniPoly([Fraction(c.p, c.q)
-                         for c in reversed([sympy.Rational(c) for c in coeffs])])
-            collapsed = poly_gcd(collapsed, u)
-    if collapsed.is_zero():
+class _Quotient:
+    """Q[x]/I for a zero-dimensional lex basis, on its standard monomials."""
+
+    def __init__(self, basis):
+        self.symbols = basis.gens
+        ring, *self.gens = sympy.polys.rings.ring(
+            basis.gens, sympy.QQ, sympy.polys.orderings.lex)
+        self.one = ring.one
+        self.divisors = [ring.from_dict(p.as_dict()) for p in basis.polys]
+        leads = [g.LM for g in self.divisors]
+        start = (0,) * len(self.gens)
+        standard, stack = {start}, [start]
+        while stack:
+            m = stack.pop()
+            for i in range(len(m)):
+                up = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if up not in standard and not any(
+                        all(a >= b for a, b in zip(up, lead))
+                        for lead in leads):
+                    standard.add(up)
+                    stack.append(up)
+        self.index = {m: i for i, m in enumerate(sorted(standard))}
+
+    def vector(self, form):
+        """Coordinates of a normal form on the standard monomials."""
+        out = [Fraction(0)] * len(self.index)
+        for m, c in form.items():
+            out[self.index[m]] = Fraction(int(c.numerator), int(c.denominator))
+        return out
+
+    def powers(self, a):
+        """Coordinates of a^0, a^1, ..., a^D."""
+        out, form = [], self.one
+        for _ in range(len(self.index) + 1):
+            out.append(self.vector(form))
+            form = (form * a).rem(self.divisors)
+        return out
+
+    def univariate_representation(self, positions):
+        """theta's minimal polynomial and the h_i with x_i = h_i(theta) for
+        the generators at these positions, or None when no linear form
+        reaches degree D."""
+        n, size = len(self.gens), len(self.index)
+        for k in range(1, (n - 1) * size * (size - 1) // 2 + 2):
+            theta = sum(k ** i * x for i, x in enumerate(self.gens))
+            powers = self.powers(theta)
+            minpoly = first_dependence(powers)
+            if minpoly.degree() < size:
+                continue
+            rows = [list(row) for row in zip(*powers[:size])]
+            return minpoly, [
+                UniPoly(gauss_solve(
+                    rows, self.vector(self.gens[i].rem(self.divisors)))[0])
+                for i in positions]
         return None
-    return collapsed
 
-
-def _cover(eqs, var, eliminate_vars):
-    """Generator of the elimination ideal in var alone, or None.
-
-    Computed from a lex Groebner basis with var ordered last, so the
-    result is exact: it vanishes precisely on the closure of the system's
-    projection onto the var axis.  None means that projection is not
-    finite (the ideal meets the ring of the single variable trivially).
-    """
-    order = [sympy.Symbol(w) for w in eliminate_vars] + [sympy.Symbol(var)]
-    basis = sympy.groebner([sympy_poly(e) for e in eqs], *order, order="lex")
-    return _univariate(basis, var)
-
-
-def _real_rooted_factors(p):
-    out = []
-    for f, _ in factor_rational(p)[1]:
-        if f.degree() == 1:
-            out.append(f)
-        else:
-            seq = f.sturm_sequence()
-            b = f.cauchy_bound()
-            if f.count_roots(-b, b, seq) > 0:
-                out.append(f)
-    return out
-
-
-def _minimal_polynomial(basis, var):
-    """Generator of a zero-dimensional ideal intersected with Q[var].
-
-    The normal forms of 1, var, var^2, ... modulo the Groebner basis live
-    in the finite-dimensional quotient ring; the first power whose normal
-    form depends linearly on the earlier ones gives the monic minimal
-    polynomial of multiplication by var, whose roots are exactly the var
-    coordinates of the ideal's complex points.
-    """
-    ring, *gens = sympy.polys.rings.ring(basis.gens, sympy.QQ,
-                                         sympy.polys.orderings.lex)
-    divisors = [ring.from_dict(p.as_dict()) for p in basis.polys]
-    x = gens[basis.gens.index(sympy.Symbol(var))]
-    forms = [ring.one.rem(divisors)]
-    while True:
-        nxt = (forms[-1] * x).rem(divisors)
-        monomials = set(nxt.keys()).union(*(f.keys() for f in forms))
-        rows = [[_fraction(f.get(m, 0)) for f in forms] for m in monomials]
-        solved = gauss_solve(rows, [-_fraction(nxt.get(m, 0))
-                                    for m in monomials])
-        if solved is not None:
-            return UniPoly(list(solved[0]) + [Fraction(1)])
-        forms.append(nxt)
-
-
-def _fraction(c):
-    return Fraction(int(c.numerator), int(c.denominator))
+    def radical_generators(self):
+        """Square-free parts of each generator's minimal polynomial."""
+        out = []
+        for sym, x in zip(self.symbols, self.gens):
+            m = first_dependence(self.powers(x))
+            sqf = m // m.gcd(m.derivative())
+            out.append(sum(sympy.Rational(c.numerator, c.denominator) * sym ** i
+                           for i, c in enumerate(sqf.coeffs)))
+        return out
 
 
 def _solve_core(eqs, core, unknowns, nonzero):
-    """Candidate points of the core unknowns, one per real-root combination.
+    """Real points of the core unknowns, each once.
 
-    The cover and the saturated basis described in the module docstring;
-    the u of the Rabinowitsch equation is ordered just before the first
-    core unknown, which keeps the lex basis cheap.
+    The saturated basis and the rational univariate representation
+    described in the module docstring; the u of the Rabinowitsch equation
+    is ordered just before the first core unknown, which keeps the lex
+    basis cheap.
     """
     if not core:
         return [{}]
     v = core[0]
-    others = tuple(w for w in unknowns if w != v)
-    cover = _cover(eqs, v, others)
-    if cover is None:
-        raise PositiveDimensional(
-            "no finite projection for unknown %r" % v, variable=v)
-    factors = _real_rooted_factors(cover)
-    if not factors:
-        return []
-    real_part = UniPoly([Fraction(1)])
-    for f in factors:
-        real_part = real_part * f
-    space = eqs[0].vars
+    order = [sympy.Symbol(w) for w in unknowns if w != v]
     gens = [sympy_poly(e) for e in eqs]
-    gens.append(sympy_poly(MultiPoly.from_unipoly(space, v, real_part)))
-    order = [sympy.Symbol(w) for w in others]
     if nonzero is not None:
         u = sympy.Dummy("u")
         gens.append(u * sympy_poly(nonzero).as_expr() - 1)
         order.append(u)
     order.append(sympy.Symbol(v))
-    basis = sympy.groebner(gens, *order, order="lex")
-    if basis.exprs == [1]:
-        return []
-    if not basis.is_zero_dimensional:
-        raise PositiveDimensional(
-            "the system over the real roots of %r is not finite" % v,
-            variable=v)
-    roots = [isolate_real_roots(_univariate(basis, v))]
-    for w in core[1:]:
-        roots.append(isolate_real_roots(_minimal_polynomial(basis, w)))
-    return [dict(zip(core, combo)) for combo in itertools.product(*roots)]
+    positions = [order.index(sympy.Symbol(w)) for w in core]
+    for radical in (False, True):
+        basis = sympy.groebner(gens, *order, order="lex")
+        if basis.exprs == [1]:
+            return []
+        if not basis.is_zero_dimensional:
+            raise PositiveDimensional("the system is not finite", variable=v)
+        quotient = _Quotient(basis)
+        rur = quotient.univariate_representation(positions)
+        if rur is not None:
+            break
+        if radical:
+            raise PreconditionViolation(
+                "no separating linear form on a radical ideal")
+        gens = basis.exprs + quotient.radical_generators()
+    minpoly, coords = rur
+    return [{w: h(r) for w, h in zip(core, coords)}
+            for r in isolate_real_roots(minpoly)]
 
 
 def _linear_substitutions(eqs, preferred):
@@ -220,8 +222,8 @@ def _linear_substitutions(eqs, preferred):
 def solve_zero_dim(equations, vars, linear_tail=(), nonzero=None):
     """All real solutions of a polynomial system with finitely many.
 
-    vars are solved through one saturated lex Groebner basis and real-root
-    isolation; linear_tail unknowns must occur at most linearly (jointly)
+    vars are solved through one saturated lex Groebner basis and its
+    rational univariate representation; linear_tail unknowns must occur at most linearly (jointly)
     and are solved per point by exact elimination.  nonzero, a polynomial
     in the same variables, saturates the system: components on which it
     vanishes identically are discarded before finiteness is required.
@@ -281,7 +283,10 @@ def solve_zero_dim(equations, vars, linear_tail=(), nonzero=None):
             full[name] = subs[name].eval(full)
         if all(evaluate_certified(e, full) for e in original):
             out.append(full)
-    return _dedupe_points(out, vars + tail)
+    # distinct roots of theta give distinct points; Alg and Fraction values
+    # compare exactly
+    names = vars + tail
+    return sorted(out, key=lambda p: tuple(p[n] for n in names))
 
 
 def _solve_tail(eqs, core_point, tail_vars):
@@ -319,19 +324,6 @@ def _solve_tail(eqs, core_point, tail_vars):
     return dict(zip(tail_vars, particular))
 
 
-def _dedupe_points(points, names):
-    kept = []
-    for p in points:
-        if not any(all(p[n] == q[n] for n in names) for q in kept):
-            kept.append(p)
-
-    def sort_key(p):
-        return tuple(float(p[n]) for n in names)
-
-    kept.sort(key=sort_key)
-    return kept
-
-
 def solve_parameter_maps(surface, systems):
     """Validated parameter-map candidates (both branches, both signs of k).
 
@@ -346,9 +338,6 @@ def solve_parameter_maps(surface, systems):
         points = solve_zero_dim(system.class_equations, system.vars,
                                 nonzero=system.determinant)
         for point in points:
-            # before scale_factors, which divides by alpha on the affine chart
-            if candidate_from_point(system, point, 1).det() == 0:
-                continue
             if not all(evaluate_certified(r, point)
                        for r in system.raw_equations):
                 continue

@@ -16,6 +16,7 @@ from ruledsym.implicit import (
     sanity_check,
     substitution_holds,
 )
+from ruledsym.isometry import symmetries
 from ruledsym.parser import parse_multipoly, parse_unipoly
 from ruledsym.upoly import UniPoly
 
@@ -23,6 +24,7 @@ XYZ = ("x", "y", "z")
 EXAMPLE = "x^6 + y^5*z + 6*x^5 + 14*x^4 + 16*x^3 + 8*x^2 + z^2"
 ODD_CONE = "x^3 - 27*y*z^2"
 THREE_FOLD = "(x^3 - 3*x*y^2)*z + (x^2 + y^2)^2"
+FIVE_FOLD = "(x^5 - 10*x^3*y^2 + 5*x*y^4)*z + (x^2 + y^2)^3"
 SPHERE = "x^2 + y^2 + z^2 - 1"
 
 
@@ -246,3 +248,21 @@ def test_three_fold_cone_lifts():
     }
     rep = implicit_pipeline(implicit(THREE_FOLD + " + z"))
     assert kind_counts(rep) == {"identity": 1, "reflection": 3, "rotation": 2}
+
+
+def test_five_fold_cone_symmetries():
+    # the parameter-map coordinates of this cone's general chart live in
+    # different quartic fields, so a solver that combines coordinates
+    # root by root pays for every spurious combination here
+    cone = parametrize_highest_form(highest_form(implicit(FIVE_FOLD)))
+    counts = {}
+    for f in symmetries(cone):
+        counts[f.kind] = counts.get(f.kind, 0) + 1
+    assert counts == {
+        "identity": 1,
+        "reflection": 5,
+        "axial_rotation": 5,
+        "rotation": 4,
+        "rotoreflection": 4,
+        "central_inversion": 1,
+    }

@@ -105,6 +105,28 @@ def test_degenerate_complex_component_is_harmless():
     assert got == {(Fraction(a), Fraction(2), Fraction(1)) for a in (-1, 0, 1)}
 
 
+def test_fat_point_at_the_origin():
+    # x^2 = xy = y^2 = 0: the origin with a three-dimensional local ring of
+    # embedding dimension two, so no linear form generates the quotient
+    # until the radical is taken
+    v = ("x", "y")
+    eqs = [_mp(v, lambda s: s["x"] ** 2),
+           _mp(v, lambda s: s["x"] * s["y"]),
+           _mp(v, lambda s: s["y"] ** 2)]
+    pts = solve_zero_dim(eqs, v)
+    assert [(p["x"], p["y"]) for p in pts] == [(0, 0)]
+
+
+def test_fat_point_beside_a_simple_point():
+    # x^2 (x - 1) = xy = y^2 = 0: the fat origin and the simple point (1, 0)
+    v = ("x", "y")
+    eqs = [_mp(v, lambda s: s["x"] ** 2 * (s["x"] - 1)),
+           _mp(v, lambda s: s["x"] * s["y"]),
+           _mp(v, lambda s: s["y"] ** 2)]
+    pts = solve_zero_dim(eqs, v)
+    assert [(p["x"], p["y"]) for p in pts] == [(0, 0), (1, 0)]
+
+
 def test_spurious_projection_combinations_are_culled():
     # projections give x in {1,-1} and y in {1,-1}; only the pairing with
     # x = y survives validation
@@ -206,8 +228,8 @@ def test_x2_general_branch_maps(monkeypatch):
 
     monkeypatch.setattr(sympy, "groebner", counted)
     cands = solve_parameter_maps(surface, build_systems(surface))
-    # two bases per branch: the cover and the saturated basis
-    assert len(calls) <= 4
+    # one basis per chart
+    assert len(calls) <= 2
     root = alg_sqrt(Fraction(1, 3))
     expected = [(a, b, -a * b) for a in (root, -root)
                 for b in (Fraction(1), Fraction(-1))]

@@ -80,3 +80,19 @@ def test_only_algnum_builds_alg_values(path):
         assert _alg_constructions(path)
     else:
         assert _alg_constructions(path) == []
+
+
+def _groebner_calls(path):
+    """Lines that call sympy.groebner."""
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "groebner"]
+
+
+def test_one_groebner_call_site():
+    # one basis per system: the lex basis is computed in one function only
+    calls = {path.name: _groebner_calls(path)
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert sum(len(lines) for lines in calls.values()) == 1, calls
