@@ -7,10 +7,10 @@ one exact factorisation.  The cone passes through the origin, so its
 symmetries can be computed with the ruled-surface machinery once a conical
 parametrization s*r(t) is found by slicing with a coordinate plane.  Each
 orthogonal part Q harvested from the cone is then lifted back to the full
-surface by matching the coefficients of F(Qx + b) against a scalar multiple
-of F, which yields every admissible translation exactly.  Irrational
-entries of Q are carried as coordinates in their common number field, and
-every lift is certified by exact substitution in that field.
+surface: with F = F_N + F_{N-1} + ..., the degree-N and degree-(N-1) parts
+of F(Qx + b) = lambda*F(x) are linear in (b, lambda) over the number field
+of Q's entries, so one exact Gaussian elimination gives the only candidate
+lift, and exact substitution of the whole identity certifies it.
 
 The cone always admits the central inversion, so -I is among the lifted
 candidates; central symmetries of F = 0 found this way are reported with a
@@ -27,12 +27,16 @@ from .errors import (
     PreconditionViolation,
     ZeroInput,
 )
+from .isometry import Isometry, symmetries, _sort_key, _same_matrix
+from .linalg import gauss_solve, identity3
 from .mpoly import MultiPoly, project
 from .ratfunc import RatFunc
+from .report import SymmetryReport, encode_value, encode_vector
 from .surface import RuledSurface
 from .solver import solve_zero_dim, sympy_poly
 
 _XYZ = ("x", "y", "z")
+_ZERO = Fraction(0)
 
 
 class ImplicitSurface:
@@ -57,9 +61,12 @@ class ImplicitSurface:
 
 def highest_form(surface):
     """The homogeneous part of top total degree."""
-    F = surface.F
-    terms = {e: c for e, c in F.terms.items() if sum(e) == surface.N}
-    return MultiPoly(F.vars, terms)
+    return _form(surface.F, surface.N)
+
+
+def _form(F, d):
+    """The homogeneous part of F of total degree d."""
+    return MultiPoly(F.vars, {e: c for e, c in F.terms.items() if sum(e) == d})
 
 
 def sanity_check(surface):
@@ -157,53 +164,51 @@ def compose_coordinates(F, images):
 
 
 def lift_symmetry(surface, q):
-    """All translations b with F(Qx + b) = lambda*F(x), as (b, lambda) pairs.
+    """The (b, lambda) with F(Qx + b) = lambda*F(x), or None.
 
-    The identity is matched coefficient by coefficient with b and lambda
-    indeterminate, and the resulting zero-dimensional system is solved
-    exactly; an empty list means Q does not extend to a symmetry of the
-    full surface.  When Q's entries are irrational, each is written as its
-    coordinate polynomial in the generator theta of their common field K,
-    theta joins the unknowns with K's modulus as one more equation, and
-    only the points with theta equal to K's generator are kept.
+    Only the two highest forms are matched, by one Gaussian elimination over
+    the common field of Q's entries: F_N(Qx) = lambda*F_N(x) fixes lambda
+    (+-1, as Q is orthogonal), and sum_k b_k (d_k F_N)(Qx) + F_{N-1}(Qx) =
+    lambda*F_{N-1}(x) fixes b.  None means these rows are inconsistent, so Q
+    does not extend; substitution_holds checks the lower forms.  The rank is
+    below four only when F_N is constant along a direction, which raises
+    PreconditionViolation.
     """
-    field, coords = common_field([q[i][j] for i in range(3) for j in range(3)])
-    unknowns = ("b1", "b2", "b3", "lam")
-    extension = () if field is None else ("theta",)
-    vars = _XYZ + unknowns + extension
-    powers = [MultiPoly.const(vars, 1)] + [
-        MultiPoly.var(vars, "theta", k) for k in range(1, len(coords[0]))]
-    entries = [sum((p * c for c, p in zip(cs, powers)), MultiPoly(vars))
-               for cs in coords]
-    shifts = [MultiPoly.var(vars, nm) for nm in unknowns[:3]]
-    residual = _residual(project(surface.F, vars), entries, shifts,
-                         MultiPoly.var(vars, "lam"))
-    reduced_vars = unknowns + extension
-    equations = [] if field is None else [
-        MultiPoly.from_unipoly(vars, "theta", field.modulus)]
-    equations += [coeff for coeff in _coefficients_in(residual, _XYZ)
-                  if not coeff.is_zero()]
-    points = solve_zero_dim([project(e, reduced_vars) for e in equations],
-                            reduced_vars)
-    if field is not None:
-        generator = field.element(field.gen)
-        points = [p for p in points if p["theta"] == generator]
-    return [(tuple(p[nm] for nm in unknowns[:3]), p["lam"]) for p in points]
+    entries = [q[i][j] for i in range(3) for j in range(3)]
+    images = _motion_images(_in_common_field(entries) + [_ZERO] * 3)
+    top, below = _form(surface.F, surface.N), _form(surface.F, surface.N - 1)
+    forms = [top, below] + [_partial(top, k) for k in range(3)]
+    top_q, below_q, *grad_q = [compose_coordinates(f, images) for f in forms]
+    rows, rhs = [], []
+    for m in sorted(set(top.terms).union(top_q.terms)):
+        rows.append([_ZERO] * 3 + [top.terms.get(m, _ZERO)])
+        rhs.append(top_q.terms.get(m, _ZERO))
+    for m in sorted(set(below.terms).union(
+            below_q.terms, *(g.terms for g in grad_q))):
+        rows.append([g.terms.get(m, _ZERO) for g in grad_q]
+                    + [-below.terms.get(m, _ZERO)])
+        rhs.append(-below_q.terms.get(m, _ZERO))
+    solved = gauss_solve(rows, rhs)
+    if solved is None:
+        return None
+    (b1, b2, b3, lam), kernel = solved
+    if kernel:
+        raise PreconditionViolation(
+            "the highest-order form is constant along a direction, so the "
+            "lift's translation is not determined")
+    return (b1, b2, b3), lam
 
 
-def _coefficients_in(poly, names):
-    """Coefficients of poly viewed as a polynomial in ``names``."""
-    idx = [poly.vars.index(nm) for nm in names]
-    buckets = {}
-    for exp, c in poly.terms.items():
-        key = tuple(exp[i] for i in idx)
-        rest = list(exp)
-        for i in idx:
-            rest[i] = 0
-        bucket = buckets.setdefault(key, {})
-        prev = bucket.get(tuple(rest))
-        bucket[tuple(rest)] = c if prev is None else prev + c
-    return [MultiPoly(poly.vars, b) for b in buckets.values()]
+def _partial(F, k):
+    """The derivative of F in its k-th variable."""
+    return MultiPoly(F.vars, {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+                              for e, c in F.terms.items() if e[k]})
+
+
+def _in_common_field(values):
+    """The values as elements of their common field (rationals stay so)."""
+    field, coords = common_field(values)
+    return [c[0] if field is None else field.element(c) for c in coords]
 
 
 def substitution_residual(surface, q, b, lam):
@@ -213,24 +218,20 @@ def substitution_residual(surface, q, b, lam):
     values' common field, so every coefficient is computed exactly there
     and the residual is zero exactly when the symmetry identity holds.
     """
-    field, coords = common_field(
+    values = _in_common_field(
         [q[i][j] for i in range(3) for j in range(3)] + list(b) + [lam])
-    values = [c[0] if field is None else field.element(c) for c in coords]
-    polys = [MultiPoly.const(_XYZ, v) for v in values]
-    return _residual(surface.F, polys[:9], polys[9:12], polys[12])
+    return (compose_coordinates(surface.F, _motion_images(values[:12]))
+            - MultiPoly.const(_XYZ, values[12]) * surface.F)
 
 
-def _residual(F, entries, shifts, lam):
-    """F(Qx + b) - lam*F, with Q's entries (row by row), b and lam given as
-    polynomials in F's variable space."""
-    coords = [MultiPoly.var(F.vars, w) for w in _XYZ]
-    images = {}
-    for i, w in enumerate(_XYZ):
-        img = shifts[i]
-        for j in range(3):
-            img = img + entries[3 * i + j] * coords[j]
-        images[w] = img
-    return compose_coordinates(F, images) - lam * F
+def _motion_images(values):
+    """The images of x, y, z under x -> Qx + b, as polynomials over
+    (x, y, z), from Q's entries (row by row) followed by b."""
+    consts = [MultiPoly.const(_XYZ, v) for v in values]
+    coords = [MultiPoly.var(_XYZ, w) for w in _XYZ]
+    return {w: sum((consts[3 * i + j] * coords[j] for j in range(3)),
+                   consts[9 + i])
+            for i, w in enumerate(_XYZ)}
 
 
 def substitution_holds(surface, q, b, lam):
@@ -280,10 +281,6 @@ def implicit_pipeline(surface, plane=None):
     first; ``plane`` optionally forces the section plane used to
     parametrize the highest-order form.
     """
-    from .isometry import Isometry, symmetries, _sort_key, identity3, \
-        _same_matrix
-    from .report import SymmetryReport, encode_value, encode_vector
-
     sanity_check(surface)
     form = highest_form(surface)
     cone = parametrize_highest_form(form, plane)
@@ -332,13 +329,12 @@ def implicit_pipeline(surface, plane=None):
         candidates.append(minus)
     accepted = []
     for q in candidates:
-        for b, lam in lift_symmetry(surface, q):
-            if not substitution_holds(surface, q, b, lam):
-                continue
-            iso = Isometry(q, b, None, None)
-            if any(iso.same_motion(prev) for prev, _ in accepted):
-                continue
-            accepted.append((iso, {"lambda": encode_value(lam)}))
+        lift = lift_symmetry(surface, q)
+        if lift is None or not substitution_holds(surface, q, *lift):
+            continue
+        b, lam = lift
+        accepted.append((Isometry(q, b, None, None),
+                         {"lambda": encode_value(lam)}))
     accepted.sort(key=lambda pair: _sort_key(pair[0]))
     return SymmetryReport(
         _subject(surface, form, cone), "implicit",

@@ -34,7 +34,8 @@ class MultiPoly:
                 c = _coerce(c)
                 if c == 0:
                     continue
-                assert len(exp) == len(self.vars)
+                if len(exp) != len(self.vars):
+                    raise PreconditionViolation("exponent length mismatch")
                 clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -115,7 +116,8 @@ class MultiPoly:
     # ---- arithmetic ----
 
     def _check(self, other):
-        assert self.vars == other.vars, "mixed variable spaces"
+        if self.vars != other.vars:
+            raise PreconditionViolation("mixed variable spaces")
 
     def __neg__(self):
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})

@@ -16,7 +16,7 @@ from ruledsym.implicit import (
     sanity_check,
     substitution_holds,
 )
-from ruledsym.isometry import symmetries
+from ruledsym.linalg import identity3
 from ruledsym.parser import parse_multipoly, parse_unipoly
 from ruledsym.upoly import UniPoly
 
@@ -154,10 +154,18 @@ def test_homogeneous_cone_lifts():
 def test_lift_translations_from_coefficients():
     s = implicit(EXAMPLE)
     mirror = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
-    sols = lift_symmetry(s, mirror)
-    assert len(sols) == 1
-    b, lam = sols[0]
+    b, lam = lift_symmetry(s, mirror)
     assert b == (-2, 0, 0) and lam == 1
+
+
+def test_rank_deficient_lift_raises():
+    # x^2 - y^2 is constant along z, so the degree-1 rows cannot fix b3
+    with pytest.raises(PreconditionViolation):
+        lift_symmetry(implicit("x^2 - y^2 + z"), identity3())
+    # the pipeline never gets there: a top form constant along a direction
+    # parametrizes as a plane, whose symmetries form a family
+    rep = implicit_pipeline(implicit("x*y + z"))
+    assert [n["code"] for n in rep.notes][-1] == "REVOLUTION_SUSPECTED"
 
 
 def test_perturbation_pruning():
@@ -206,6 +214,29 @@ def test_axis_detection_propagates_solver_faults(monkeypatch):
         detect_revolution_axis(cone)
 
 
+def test_lifting_solves_no_polynomial_system(monkeypatch):
+    # lifts are linear in (b, lambda): only axis detection may reach the
+    # zero-dimensional solver from this module
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver called")
+
+    monkeypatch.setattr(implicit_module, "solve_zero_dim", broken)
+    assert kind_counts(implicit_pipeline(implicit(EXAMPLE))) == {
+        "identity": 1,
+        "reflection": 1,
+        "axial_rotation": 1,
+        "central_inversion": 1,
+    }
+    assert kind_counts(implicit_pipeline(implicit(THREE_FOLD))) == {
+        "identity": 1,
+        "reflection": 3,
+        "axial_rotation": 3,
+        "rotation": 2,
+        "rotoreflection": 2,
+        "central_inversion": 1,
+    }
+
+
 def matmul(a, b):
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), Fraction(0))
                        for j in range(3)) for i in range(3))
@@ -233,7 +264,7 @@ def test_irrational_lifts_in_the_common_field():
     for q in matrices:
         assert substitution_holds(sphere, q, (0, 0, 0), Fraction(1))
         assert not substitution_holds(sphere, q, (1, 0, 0), Fraction(1))
-        assert lift_symmetry(sphere, q) == [((0, 0, 0), 1)]
+        assert lift_symmetry(sphere, q) == ((0, 0, 0), 1)
 
 
 def test_three_fold_cone_lifts():
@@ -253,12 +284,10 @@ def test_three_fold_cone_lifts():
 def test_five_fold_cone_symmetries():
     # the parameter-map coordinates of this cone's general chart live in
     # different quartic fields, so a solver that combines coordinates
-    # root by root pays for every spurious combination here
-    cone = parametrize_highest_form(highest_form(implicit(FIVE_FOLD)))
-    counts = {}
-    for f in symmetries(cone):
-        counts[f.kind] = counts.get(f.kind, 0) + 1
-    assert counts == {
+    # root by root pays for every spurious combination here; each of the
+    # 20 orthogonal parts is then lifted over the field of its entries
+    rep = implicit_pipeline(implicit(FIVE_FOLD))
+    assert kind_counts(rep) == {
         "identity": 1,
         "reflection": 5,
         "axial_rotation": 5,
@@ -266,3 +295,9 @@ def test_five_fold_cone_symmetries():
         "rotoreflection": 4,
         "central_inversion": 1,
     }
+    # F is homogeneous, so every symmetry fixes the origin; each one maps
+    # the plane z = 0, where F = (x^2 + y^2)^3 > 0, onto itself, so lambda
+    # is 1
+    for f, extra in zip(rep.isometries, rep.extras):
+        assert f.b == (0, 0, 0)
+        assert extra == {"lambda": {"rat": "1"}}

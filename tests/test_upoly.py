@@ -151,8 +151,9 @@ def test_render_round_trip_shape():
 
 def test_exactness_checks_raise_under_optimization():
     # an inexact division, a homogenisation degree below the degree of the
-    # polynomial, and a variable that a projection or a univariate view
-    # would drop must raise even with asserts compiled away
+    # polynomial, a variable that a projection or a univariate view would
+    # drop, a sum over two variable spaces and an exponent that does not fit
+    # the variables must raise even with asserts compiled away
     code = (
         "from ruledsym.errors import PreconditionViolation\n"
         "from ruledsym.mpoly import MultiPoly, project\n"
@@ -163,7 +164,9 @@ def test_exactness_checks_raise_under_optimization():
         "for attempt in (lambda: (t * t + 1) // (t + 1),\n"
         "                lambda: homogenized_eval(t * t, t, t + 1, 1),\n"
         "                lambda: project(s, ('alpha',)),\n"
-        "                lambda: s.to_unipoly('alpha')):\n"
+        "                lambda: s.to_unipoly('alpha'),\n"
+        "                lambda: s + MultiPoly.var(('s',), 's'),\n"
+        "                lambda: MultiPoly(('s',), {(1, 0): 1})):\n"
         "    try:\n"
         "        attempt()\n"
         "    except PreconditionViolation:\n"
@@ -175,7 +178,7 @@ def test_exactness_checks_raise_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 6
 
 
 # ---- the rational kernel against sympy ----
