@@ -468,9 +468,9 @@ _KIND_RANK = {
 
 
 def _sort_key(iso):
-    flat = [float(x) for row in iso.Q for x in row]
-    flat += [float(x) for x in iso.b]
-    return (_KIND_RANK[iso.kind], flat)
+    # Fraction and Alg values compare exactly
+    return (_KIND_RANK[iso.kind], [x for row in iso.Q for x in row],
+            list(iso.b))
 
 
 def _finish(isometries):
@@ -544,6 +544,7 @@ def _linear_direction_symmetries(surface):
     for gamma in (0, 1):
         unknowns = ("alpha", "beta", "k") if gamma == 0 \
             else ("alpha", "delta", "c", "k")
+        unknowns += ("b1", "b2", "b3")
         for eps in (1, -1):
             eqs = _linear_direction_equations(
                 surface, gamma, eps, u, v, normal, frame_inv)
@@ -551,9 +552,7 @@ def _linear_direction_symmetries(surface):
             nonzero = MultiPoly.var(_LINEAR_VARS, "alpha" if gamma == 0
                                     else "c") * MultiPoly.var(_LINEAR_VARS, "k")
             try:
-                points = solve_zero_dim(eqs, unknowns,
-                                        linear_tail=("b1", "b2", "b3"),
-                                        nonzero=nonzero)
+                points = solve_zero_dim(eqs, unknowns, nonzero=nonzero)
             except PositiveDimensional:
                 raise PositiveDimensional(
                     "the coupled symmetry system for a degree-one "

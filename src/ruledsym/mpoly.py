@@ -80,7 +80,8 @@ class MultiPoly:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
     def const_value(self):
-        assert self.is_constant()
+        if not self.is_constant():
+            raise PreconditionViolation("the polynomial is not constant")
         z = tuple([0] * len(self.vars))
         return self.terms.get(z, Fraction(0))
 
@@ -167,7 +168,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         out = MultiPoly.const(self.vars, 1)
         base = self
         while k:

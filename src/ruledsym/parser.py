@@ -16,7 +16,7 @@ polynomials, univariate rational functions, and multivariate polynomials
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionViolation
 from .mpoly import MultiPoly
 from .ratfunc import RatFunc
 
@@ -171,7 +171,8 @@ def _eval_ast(node, const, env, allow_division):
         return a - b
     if op == "mul":
         return a * b
-    assert op == "div"
+    if op != "div":
+        raise PreconditionViolation("unknown operator %r" % (op,))
     return allow_division(a, b)
 
 

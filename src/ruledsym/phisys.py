@@ -163,16 +163,8 @@ def build_system(surface, gamma):
                          surface.n, project(a * d - b * g, unknowns))
 
 
-def build_affine_system(surface):
-    return build_system(surface, 0)
-
-
-def build_general_system(surface):
-    return build_system(surface, 1)
-
-
 def build_systems(surface):
-    return build_affine_system(surface), build_general_system(surface)
+    return build_system(surface, 0), build_system(surface, 1)
 
 
 def scale_factors(system, point):

@@ -64,14 +64,18 @@ class RatFunc:
         return self.den.degree() == 0
 
     def as_unipoly(self):
-        assert self.is_polynomial()
+        if not self.is_polynomial():
+            raise PreconditionViolation("the rational function is not a "
+                                        "polynomial")
         return self.num
 
     def is_constant(self):
         return self.num.degree() <= 0 and self.den.degree() == 0
 
     def const_value(self):
-        assert self.is_constant()
+        if not self.is_constant():
+            raise PreconditionViolation("the rational function is not "
+                                        "constant")
         return self.num.const_value()
 
     def __eq__(self, other):
@@ -129,7 +133,8 @@ class RatFunc:
         return other / self
 
     def __pow__(self, e):
-        assert isinstance(e, int)
+        if not isinstance(e, int):
+            raise ValueError("exponent must be an integer")
         if e < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")

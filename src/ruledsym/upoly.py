@@ -22,7 +22,7 @@ import functools
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, ZeroInput
 
 
 def _coerce(c):
@@ -123,7 +123,8 @@ class UniPoly:
         return len(self.coeffs) <= 1
 
     def const_value(self):
-        assert self.is_constant()
+        if not self.is_constant():
+            raise PreconditionViolation("the polynomial is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def lead(self):
@@ -204,7 +205,8 @@ class UniPoly:
         return self.__mul__(other)
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         out = UniPoly([1])
         base = self
         while k:
@@ -308,7 +310,8 @@ class UniPoly:
         pairwise-coprime factors such that the product of factor^multiplicity
         equals the monic part of self.  Degree-zero factors are dropped.
         """
-        assert not self.is_zero()
+        if self.is_zero():
+            raise ZeroInput("square-free decomposition of zero")
         p = self.monic()
         if p.degree() == 0:
             return []
@@ -342,7 +345,8 @@ class UniPoly:
 
     def cauchy_bound(self):
         """All real roots lie strictly inside (-B, B)."""
-        assert not self.is_zero()
+        if self.is_zero():
+            raise ZeroInput("root bound of zero")
         lead = abs(self.lead())
         m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
         return 1 + m / lead
@@ -399,7 +403,8 @@ def factor_rational(p):
     Returns (leading_unit, [(monic irreducible UniPoly, multiplicity), ...])
     with leading_unit a Fraction so that the product reconstructs p.
     """
-    assert isinstance(p, UniPoly) and not p.is_zero()
+    if p.is_zero():
+        raise ZeroInput("factorisation of zero")
     if p.degree() == 0:
         return (p.coeffs[0], [])
     from sympy import Poly, Rational, Symbol

@@ -15,7 +15,7 @@ from ruledsym.implicit import ImplicitSurface, implicit_pipeline, \
 from ruledsym.isometry import compose, filter_involutions, symmetries
 from ruledsym.errors import CylindricalInput
 from ruledsym.parser import parse_multipoly, parse_ratfunc
-from ruledsym.phisys import build_affine_system, build_general_system
+from ruledsym.phisys import build_system
 from ruledsym.report import build_report
 from ruledsym.solver import solve_parameter_maps
 from ruledsym.upoly import UniPoly
@@ -78,7 +78,7 @@ def test_criterion_01_worked_example(corpus):
 
 def test_criterion_02_parameter_map_branches(corpus):
     golden = corpus["golden"]
-    affine = solve_parameter_maps(golden, [build_affine_system(golden)])
+    affine = solve_parameter_maps(golden, [build_system(golden, 0)])
     affine_set = {(Fraction(c.alpha), Fraction(c.beta),
                    Fraction(c.k)) for c in affine}
     assert len(affine) == 4
@@ -90,7 +90,7 @@ def test_criterion_02_parameter_map_branches(corpus):
     }
     assert sum(1 for c in affine if c.is_identity_map()) == 1
 
-    general = solve_parameter_maps(golden, [build_general_system(golden)])
+    general = solve_parameter_maps(golden, [build_system(golden, 1)])
     assert len(general) == 12
     triples = {(Fraction(c.alpha), Fraction(c.beta),
                 Fraction(c.delta)) for c in general}

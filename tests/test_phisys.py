@@ -11,8 +11,7 @@ from ruledsym.mpoly import MultiPoly, project
 from ruledsym.phisys import (
     GENERAL_VARS,
     ReparamSystem,
-    build_affine_system,
-    build_general_system,
+    build_system,
     build_systems,
     candidate_from_point,
     scale_factors,
@@ -50,7 +49,7 @@ def test_golden_class_structure(golden):
 
 
 def test_affine_system_golden_solutions(golden):
-    system = build_affine_system(golden)
+    system = build_system(golden, 0)
     assert system.gamma == 0
     assert system.vars == ("alpha", "beta")
     assert system.class_equations and system.raw_equations
@@ -63,7 +62,7 @@ def test_affine_system_golden_solutions(golden):
 
 
 def test_general_system_golden_solutions(golden):
-    system = build_general_system(golden)
+    system = build_system(golden, 1)
     assert system.gamma == 1
     assert system.vars == ("alpha", "delta", "c")
     # t -> 1/t and t -> (t+1)/(t-1) are symmetries of the golden surface
@@ -77,7 +76,7 @@ def test_general_system_golden_solutions(golden):
 def test_general_small_class_collapse(golden):
     """The degree-two class forces delta = -alpha*beta and beta^2 = 1,
     so c = beta - alpha*delta = beta*(1 + alpha^2)."""
-    system = build_general_system(golden)
+    system = build_system(golden, 1)
     # the degree-two class's equations have total degree at most 4 in
     # (alpha, delta, c); the degree-eight class's have more
     small = [e for e in system.class_equations
@@ -97,7 +96,7 @@ def test_general_small_class_collapse(golden):
 
 
 def test_scale_factors_affine(golden):
-    system = build_affine_system(golden)
+    system = build_system(golden, 0)
     k_plus, k_minus = scale_factors(system, {"alpha": Fraction(-1),
                                              "beta": Fraction(0)})
     ks = sorted([k_plus, k_minus], key=float)
@@ -107,7 +106,7 @@ def test_scale_factors_affine(golden):
 
 
 def test_scale_factors_general(golden):
-    system = build_general_system(golden)
+    system = build_system(golden, 1)
     # alpha = 0: K = lead(M)/M(0) = 2/2 = 1
     ks = scale_factors(system, {"alpha": Fraction(0), "beta": Fraction(1),
                                 "delta": Fraction(0)})
@@ -129,7 +128,7 @@ def test_scale_factors_reject_a_nonpositive_norm():
 
 def test_scale_factors_irrational_square_root():
     surface = build_surface("x6")
-    system = build_general_system(surface)
+    system = build_system(surface, 1)
     m = system.norm_square
     # generic alpha: k^2 = lead/M(2) is not a perfect square here
     ks = scale_factors(system, {"alpha": Fraction(2), "beta": Fraction(0),
@@ -141,14 +140,14 @@ def test_scale_factors_irrational_square_root():
 
 
 def test_candidate_accessors(golden):
-    affine = build_affine_system(golden)
+    affine = build_system(golden, 0)
     cand = candidate_from_point(affine, {"alpha": Fraction(1),
                                          "beta": Fraction(0)}, Fraction(1))
     assert cand.is_identity_map()
     assert cand.det() == 1
     assert cand.delta == 1
 
-    general = build_general_system(golden)
+    general = build_system(golden, 1)
     inv = candidate_from_point(general, _general_point(0, 1, 0), Fraction(1))
     assert not inv.is_identity_map()
     assert inv.det() == -1
@@ -205,7 +204,7 @@ def test_general_chart_equations_generate_the_t_form_ideal(name):
     # matrix over Q[delta], so both generate one ideal; a slip in the sign
     # of c or of the shift would lose points without raising anything
     surface = build_surface(name)
-    system = build_general_system(surface)
+    system = build_system(surface, 1)
     s_form = system.class_equations
     t_form = _t_form_class_equations(surface, system.vars)
     assert s_form and t_form

@@ -9,8 +9,7 @@ from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import PositiveDimensional, PreconditionViolation
 from ruledsym.mpoly import MultiPoly
 from ruledsym.phisys import (
-    build_affine_system,
-    build_general_system,
+    build_system,
     build_systems,
 )
 from ruledsym.solver import solve_parameter_maps, solve_zero_dim
@@ -141,36 +140,59 @@ def test_spurious_projection_combinations_are_culled():
     assert got == {(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(-1))}
 
 
-def test_linear_tail_solved_per_point():
+def test_translation_unknowns_solved_as_ordinary_unknowns():
+    # b1 and b2 occur linearly once x is fixed; they are read from the
+    # same representation as x
     v = ("x", "b1", "b2")
     eqs = [
         _mp(v, lambda s: s["x"] ** 2 - 4),
         _mp(v, lambda s: s["b1"] + s["x"] * s["b2"] - 1),
         _mp(v, lambda s: s["b1"] - s["b2"] - 1),
     ]
-    pts = solve_zero_dim(eqs, ("x",), linear_tail=("b1", "b2"))
-    got = {(Fraction(p["x"]), Fraction(p["b1"]), Fraction(p["b2"]))
-           for p in pts}
-    assert got == {(Fraction(2), Fraction(1), Fraction(0)),
-                   (Fraction(-2), Fraction(1), Fraction(0))}
+    pts = solve_zero_dim(eqs, v)
+    assert [(p["x"], p["b1"], p["b2"]) for p in pts] == [
+        (Fraction(-2), Fraction(1), Fraction(0)),
+        (Fraction(2), Fraction(1), Fraction(0))]
 
 
-def test_linear_tail_underdetermined_raises():
+def test_underdetermined_linear_unknowns_raise():
     v = ("x", "b1", "b2")
     eqs = [
         _mp(v, lambda s: s["x"] ** 2 - 1),
         _mp(v, lambda s: s["b1"] + s["b2"]),
     ]
     with pytest.raises(PositiveDimensional):
-        solve_zero_dim(eqs, ("x",), linear_tail=("b1", "b2"))
+        solve_zero_dim(eqs, v)
 
 
-def test_nonlinear_tail_is_an_explicit_error():
+def test_nonlinear_trailing_unknown_is_solved():
+    # b^2 = x on x^2 = 1: only x = 1 carries real points, b = +-1
     v = ("x", "b")
     eqs = [_mp(v, lambda s: s["x"] ** 2 - 1),
            _mp(v, lambda s: s["b"] * s["b"] - s["x"])]
+    pts = solve_zero_dim(eqs, v)
+    assert [(p["x"], p["b"]) for p in pts] == [
+        (Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1))]
+
+
+def test_nonzero_vanishing_with_a_linear_equation():
+    # x - y = 0 while x - y must not vanish: saturation leaves no point
+    v = ("x", "y")
+    eqs = [_mp(v, lambda s: s["x"] - s["y"]),
+           _mp(v, lambda s: s["x"] ** 2 - 4)]
+    nonzero = _mp(v, lambda s: s["x"] - s["y"])
+    assert solve_zero_dim(eqs, v, nonzero=nonzero) == []
+    assert solve_zero_dim(eqs[:1], v, nonzero=nonzero) == []
+
+
+def test_unknowns_outside_vars_are_an_explicit_error():
+    v = ("x", "y")
+    eqs = [_mp(v, lambda s: s["x"] ** 2 - 1),
+           _mp(v, lambda s: s["y"] - s["x"])]
     with pytest.raises(PreconditionViolation):
-        solve_zero_dim(eqs, ("x",), linear_tail=("b",))
+        solve_zero_dim(eqs, ("x",))
+    with pytest.raises(PreconditionViolation):
+        solve_zero_dim(eqs[:1], ("x",), nonzero=_mp(v, lambda s: s["y"]))
 
 
 def test_irrational_coordinates_validated():
@@ -186,7 +208,7 @@ def test_irrational_coordinates_validated():
 
 
 def test_golden_affine_parameter_maps(golden):
-    system = build_affine_system(golden)
+    system = build_system(golden, 0)
     cands = solve_parameter_maps(golden, [system])
     assert len(cands) == 4
     seen = {(Fraction(c.alpha), Fraction(c.beta), Fraction(c.k))
@@ -199,7 +221,7 @@ def test_golden_affine_parameter_maps(golden):
 
 
 def test_golden_general_parameter_maps(golden):
-    system = build_general_system(golden)
+    system = build_system(golden, 1)
     cands = solve_parameter_maps(golden, [system])
     assert len(cands) == 12
     triples = {(Fraction(c.alpha), Fraction(c.beta),

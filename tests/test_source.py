@@ -96,3 +96,12 @@ def test_one_groebner_call_site():
     calls = {path.name: _groebner_calls(path)
              for path in sorted(SOURCE.glob("*.py"))}
     assert sum(len(lines) for lines in calls.values()) == 1, calls
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # an assert vanishes under python -O; checks raise explicitly
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from ruledsym.algnum import alg_sqrt
+from ruledsym.errors import ZeroInput
 from ruledsym.mpoly import MultiPoly
-from ruledsym.ratfunc import homogenized_eval
+from ruledsym.ratfunc import RatFunc, homogenized_eval
 from ruledsym.upoly import UniPoly, factor_rational, frac_gcd, poly_gcd, poly_lcm
 
 T = UniPoly.x()
@@ -152,12 +154,14 @@ def test_render_round_trip_shape():
 def test_exactness_checks_raise_under_optimization():
     # an inexact division, a homogenisation degree below the degree of the
     # polynomial, a variable that a projection or a univariate view would
-    # drop, a sum over two variable spaces and an exponent that does not fit
-    # the variables must raise even with asserts compiled away
+    # drop, a sum over two variable spaces, an exponent that does not fit
+    # the variables, the constant value of a nonconstant polynomial or
+    # rational function and the polynomial view of a proper fraction must
+    # raise even with asserts compiled away
     code = (
         "from ruledsym.errors import PreconditionViolation\n"
         "from ruledsym.mpoly import MultiPoly, project\n"
-        "from ruledsym.ratfunc import homogenized_eval\n"
+        "from ruledsym.ratfunc import RatFunc, homogenized_eval\n"
         "from ruledsym.upoly import UniPoly\n"
         "t = UniPoly([0, 1])\n"
         "s = MultiPoly.var(('s', 'alpha'), 's')\n"
@@ -166,7 +170,11 @@ def test_exactness_checks_raise_under_optimization():
         "                lambda: project(s, ('alpha',)),\n"
         "                lambda: s.to_unipoly('alpha'),\n"
         "                lambda: s + MultiPoly.var(('s',), 's'),\n"
-        "                lambda: MultiPoly(('s',), {(1, 0): 1})):\n"
+        "                lambda: MultiPoly(('s',), {(1, 0): 1}),\n"
+        "                lambda: (s + 1).const_value(),\n"
+        "                lambda: (t + 1).const_value(),\n"
+        "                lambda: RatFunc(t + 1).const_value(),\n"
+        "                lambda: RatFunc(t, t + 1).as_unipoly()):\n"
         "    try:\n"
         "        attempt()\n"
         "    except PreconditionViolation:\n"
@@ -178,7 +186,19 @@ def test_exactness_checks_raise_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 6
+    assert proc.stdout.split() == ["raised"] * 10
+
+
+def test_zero_polynomials_and_bad_exponents_raise():
+    for attempt in (P().squarefree_decomposition, P().cauchy_bound,
+                    lambda: factor_rational(P())):
+        with pytest.raises(ZeroInput):
+            attempt()
+    s = MultiPoly.var(("s",), "s")
+    for attempt in (lambda: T ** -1, lambda: s ** -1, lambda: s ** 0.5,
+                    lambda: RatFunc(T) ** 0.5):
+        with pytest.raises(ValueError):
+            attempt()
 
 
 # ---- the rational kernel against sympy ----
