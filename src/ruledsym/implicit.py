@@ -20,6 +20,8 @@ them the way it does for rotations and reflections.
 
 from fractions import Fraction
 
+import sympy
+
 from .algnum import common_field, sign
 from .errors import (
     HeuristicFailure,
@@ -33,7 +35,7 @@ from .mpoly import MultiPoly, project
 from .ratfunc import RatFunc
 from .report import SymmetryReport, encode_value, encode_vector
 from .surface import RuledSurface
-from .solver import solve_zero_dim, sympy_poly
+from .solver import solve_zero_dim
 
 _XYZ = ("x", "y", "z")
 _ZERO = Fraction(0)
@@ -67,6 +69,13 @@ def highest_form(surface):
 def _form(F, d):
     """The homogeneous part of F of total degree d."""
     return MultiPoly(F.vars, {e: c for e, c in F.terms.items() if sum(e) == d})
+
+
+def sympy_poly(e):
+    """A rational MultiPoly as a sympy Poly over QQ, from its exponent dict."""
+    # from_dict converts the coefficients of the dict it is given in place
+    return sympy.Poly.from_dict(dict(e.terms),
+                                [sympy.Symbol(v) for v in e.vars], domain="QQ")
 
 
 def sanity_check(surface):

@@ -6,15 +6,15 @@ elements).  Every polynomial carries a fixed tuple of variable names; mixing
 polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
-The module provides arithmetic, evaluation, substitution and univariate
-views; it has no division or gcd (exact elimination and factorisation go
-through sympy, see solver.sympy_poly).
+The module provides arithmetic, evaluation, substitution of values and
+univariate views; it has no division or gcd (exact elimination and
+factorisation go through sympy).
 """
 
 from fractions import Fraction
 
 from .errors import PreconditionViolation
-from .upoly import UniPoly, frac_gcd
+from .upoly import UniPoly
 
 
 def _coerce(c):
@@ -219,28 +219,6 @@ class MultiPoly:
             out[key] = coeff if prev is None else prev + coeff
         return MultiPoly(self.vars, out)
 
-    def substitute_poly(self, name, poly):
-        """Replace a variable by a polynomial from the same space."""
-        self._check(poly)
-        i = self.vars.index(name)
-        powers = {0: MultiPoly.const(self.vars, 1)}
-
-        def power(e):
-            if e not in powers:
-                powers[e] = power(e - 1) * poly
-            return powers[e]
-
-        total = MultiPoly(self.vars)
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            e = rest[i]
-            rest[i] = 0
-            term = MultiPoly(self.vars, {tuple(rest): c})
-            if e:
-                term = term * power(e)
-            total = total + term
-        return total
-
     # ---- univariate views ----
 
     def as_univar(self, name):
@@ -269,27 +247,6 @@ class MultiPoly:
         for exp, c in self.terms.items():
             coeffs[exp[i]] = c
         return UniPoly(coeffs)
-
-    # ---- content and normalisation (rational coefficients) ----
-
-    def rational_content(self):
-        c = Fraction(0)
-        for v in self.terms.values():
-            if not isinstance(v, Fraction):
-                return Fraction(1)
-            c = frac_gcd(c, v)
-        return c if c != 0 else Fraction(1)
-
-    def normalized(self):
-        """Divide by rational content, make the lex-leading coefficient positive."""
-        if self.is_zero():
-            return self
-        c = self.rational_content()
-        lead = self.terms[max(self.terms)]
-        if isinstance(lead, Fraction) and lead < 0:
-            c = -c
-        inv = 1 / c
-        return MultiPoly(self.vars, {e: v * inv for e, v in self.terms.items()})
 
     # ---- rendering ----
 

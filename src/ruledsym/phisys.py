@@ -77,15 +77,6 @@ class ReparamCandidate:
     def det(self):
         return self.alpha * self.delta - self.beta * self.gamma
 
-    def is_identity_map(self):
-        return (self.gamma == 0 and self.alpha == 1 and self.beta == 0
-                and self.k == 1)
-
-    def same_map(self, other):
-        return (self.gamma == other.gamma and self.alpha == other.alpha
-                and self.beta == other.beta and self.delta == other.delta
-                and self.k == other.k)
-
     def __repr__(self):
         return ("ReparamCandidate(gamma=%d, alpha=%r, beta=%r, delta=%r, k=%r)"
                 % (self.gamma, self.alpha, self.beta, self.delta, self.k))

@@ -1,14 +1,18 @@
 """Exact solving of the zero-dimensional systems produced by the method.
 
-Each system costs one lex Groebner basis (sympy, over the rationals) of
-its equations and, when the caller names a polynomial that must not
-vanish, the Rabinowitsch equation u * nonzero - 1, which saturates the
-ideal by that polynomial (Cox, Little, O'Shea, Ideals, Varieties, and
-Algorithms, ch. 4).  The parameter-map solve passes the chart's
-determinant of the map (alpha on the affine chart, -c on the general
-chart, see phisys), which removes the degenerate components of the
-fractional-linear map.  A unit basis means no solution; a basis that is
-not zero-dimensional raises PositiveDimensional.
+Each system costs one lex Groebner basis (sympy's Buchberger engine,
+groebnertools, over the rationals) of its equations and, when the caller
+names a polynomial that must not vanish, the Rabinowitsch equation
+u * nonzero - 1, which saturates the ideal by that polynomial (Cox,
+Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4).  The
+parameter-map solve passes the chart's determinant of the map (alpha on
+the affine chart, -c on the general chart, see phisys), which removes the
+degenerate components of the fractional-linear map.  Every equation goes
+into sympy's polynomial ring straight from its exponent dict, with no
+expression layer, and the engine returns the monic reduced basis.  A unit
+basis means no solution.  The basis is zero-dimensional when every
+unknown has a pure power among its leading monomials; otherwise
+PositiveDimensional is raised.
 
 The points are read from a rational univariate representation
 (Rouillier, Solving zero-dimensional systems through the rational
@@ -34,7 +38,7 @@ with D points that many k always suffice: each pair of points agrees on
 theta for at most n - 1 values of k.
 
 Every unknown, linear or not, is read from that one representation:
-sympy's basis eliminates rational linear equations itself, and the
+the basis eliminates rational linear equations itself, and the
 translation part of a degree-one isometry is just a trailing unknown.
 Each point is still certified against the equations by exact
 evaluation.
@@ -42,7 +46,10 @@ evaluation.
 
 from fractions import Fraction
 
-import sympy
+from sympy import QQ
+from sympy.polys import groebnertools
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from .algnum import evaluate_certified, first_dependence, isolate_real_roots
 from .errors import PositiveDimensional, PreconditionViolation
@@ -51,35 +58,40 @@ from .phisys import candidate_from_point, scale_factors
 from .upoly import UniPoly
 
 
-def sympy_poly(e):
-    """A rational MultiPoly as a sympy Poly over QQ, from its exponent dict."""
-    # from_dict converts the coefficients of the dict it is given in place
-    return sympy.Poly.from_dict(dict(e.terms),
-                                [sympy.Symbol(v) for v in e.vars], domain="QQ")
-
-
 def _clean(equations):
-    """Normalise, drop zeros; a nonzero constant marks an empty solution set."""
+    """Drop zeros; a nonzero constant marks an empty solution set."""
     eqs = []
     for e in equations:
         if e.is_zero():
             continue
         if e.is_constant():
             return None
-        eqs.append(e.normalized())
+        eqs.append(e)
     return eqs
+
+
+def _ring_element(R, index, e):
+    """A rational MultiPoly as an element of R; index maps each unknown's
+    name to its generator position in R."""
+    where = [index.get(v) for v in e.vars]
+    terms = {}
+    for exp, c in e.terms.items():
+        monomial = [0] * R.ngens
+        for i, k in enumerate(exp):
+            if k:
+                monomial[where[i]] = k
+        terms[tuple(monomial)] = QQ(c.numerator, c.denominator)
+    return R.from_dict(terms)
 
 
 class _Quotient:
     """Q[x]/I for a zero-dimensional lex basis, on its standard monomials."""
 
-    def __init__(self, basis):
-        self.symbols = basis.gens
-        ring, *self.gens = sympy.polys.rings.ring(
-            basis.gens, sympy.QQ, sympy.polys.orderings.lex)
-        self.one = ring.one
-        self.divisors = [ring.from_dict(p.as_dict()) for p in basis.polys]
-        leads = [g.LM for g in self.divisors]
+    def __init__(self, R, basis):
+        self.gens = R.gens
+        self.one = R.one
+        self.divisors = basis
+        leads = [g.LM for g in basis]
         start = (0,) * len(self.gens)
         standard, stack = {start}, [start]
         while stack:
@@ -129,10 +141,10 @@ class _Quotient:
     def radical_generators(self):
         """Square-free parts of each generator's minimal polynomial."""
         out = []
-        for sym, x in zip(self.symbols, self.gens):
+        for x in self.gens:
             m = first_dependence(self.powers(x))
             sqf = m // m.gcd(m.derivative())
-            out.append(sum(sympy.Rational(c.numerator, c.denominator) * sym ** i
+            out.append(sum(x ** i * QQ(c.numerator, c.denominator)
                            for i, c in enumerate(sqf.coeffs)))
         return out
 
@@ -165,28 +177,34 @@ def solve_zero_dim(equations, vars, nonzero=None):
                 "unknowns %s are not among the solved ones"
                 % sorted(e.used_vars() - named))
     v = vars[0]
-    order = [sympy.Symbol(w) for w in vars[1:]]
-    gens = [sympy_poly(e) for e in eqs]
+    u = "u"
+    while u in named:
+        u += "_"
+    order = vars[1:] + ((u,) if nonzero is not None else ()) + (v,)
+    R = ring(order, QQ, lex)[0]
+    index = {w: i for i, w in enumerate(order)}
+    gens = [_ring_element(R, index, e) for e in eqs]
     if nonzero is not None:
-        u = sympy.Dummy("u")
-        gens.append(u * sympy_poly(nonzero).as_expr() - 1)
-        order.append(u)
-    order.append(sympy.Symbol(v))
-    positions = [order.index(sympy.Symbol(w)) for w in vars]
+        gens.append(R.gens[index[u]] * _ring_element(R, index, nonzero) - 1)
+    positions = [index[w] for w in vars]
     for radical in (False, True):
-        basis = sympy.groebner(gens, *order, order="lex")
-        if basis.exprs == [1]:
+        basis = groebnertools.groebner(gens, R)
+        if basis == [R.one]:
             return []
-        if not basis.is_zero_dimensional:
+        # zero-dimensional: every unknown has a pure power among the
+        # leading monomials
+        leads = [g.LM for g in basis]
+        if not all(any(sum(m) == m[i] > 0 for m in leads)
+                   for i in range(R.ngens)):
             raise PositiveDimensional("the system is not finite", variable=v)
-        quotient = _Quotient(basis)
+        quotient = _Quotient(R, basis)
         rur = quotient.univariate_representation(positions)
         if rur is not None:
             break
         if radical:
             raise PreconditionViolation(
                 "no separating linear form on a radical ideal")
-        gens = basis.exprs + quotient.radical_generators()
+        gens = basis + quotient.radical_generators()
     minpoly, coords = rur
     points = [dict(zip(vars, (h(r) for h in coords)))
               for r in isolate_real_roots(minpoly)]

@@ -1,5 +1,6 @@
 import pytest
 
+from ruledsym.mpoly import MultiPoly
 from ruledsym.surface import RuledSurface, surface_from_json
 
 # The worked corpus: rational ruled surfaces with known symmetry structure.
@@ -106,3 +107,27 @@ def corpus():
 @pytest.fixture
 def golden(corpus):
     return corpus["golden"]
+
+
+# ---- helpers that only the tests need ----
+
+def substitute_poly(p, name, poly):
+    """p with the variable name replaced by poly, a MultiPoly on p.vars."""
+    i = p.vars.index(name)
+    total = MultiPoly(p.vars)
+    for exp, c in p.terms.items():
+        rest = list(exp)
+        rest[i] = 0
+        total = total + MultiPoly(p.vars, {tuple(rest): c}) * poly ** exp[i]
+    return total
+
+
+def is_identity_map(c):
+    """Whether a parameter-map candidate is psi(t) = t with k = 1."""
+    return c.gamma == 0 and c.alpha == 1 and c.beta == 0 and c.k == 1
+
+
+def same_map(c, d):
+    """Whether two parameter-map candidates carry the same psi and k."""
+    return (c.gamma == d.gamma and c.alpha == d.alpha and c.beta == d.beta
+            and c.delta == d.delta and c.k == d.k)

@@ -20,6 +20,8 @@ from ruledsym.report import build_report
 from ruledsym.solver import solve_parameter_maps
 from ruledsym.upoly import UniPoly
 
+from conftest import is_identity_map, same_map
+
 RUNTIME_BUDGET = 120.0
 
 # symmetry groups computed once and shared across criteria
@@ -88,7 +90,7 @@ def test_criterion_02_parameter_map_branches(corpus):
         (Fraction(-1), Fraction(0), Fraction(1)),
         (Fraction(-1), Fraction(0), Fraction(-1)),
     }
-    assert sum(1 for c in affine if c.is_identity_map()) == 1
+    assert sum(1 for c in affine if is_identity_map(c)) == 1
 
     general = solve_parameter_maps(golden, [build_system(golden, 1)])
     assert len(general) == 12
@@ -105,7 +107,7 @@ def test_criterion_02_parameter_map_branches(corpus):
     for c in general:
         expected = Fraction(1, 8) if c.alpha != 0 else Fraction(1)
         assert abs(Fraction(c.k)) == expected
-        assert sum(1 for d in general if c.same_map(d)) == 1
+        assert sum(1 for d in general if same_map(c, d)) == 1
     ok(2, "branch without pole: identity + 3 maps; branch with pole: "
           "12 maps; exact set equality")
 
@@ -236,7 +238,7 @@ def test_criterion_08_property_suite(corpus):
         # distinct isometries carry distinct parameter maps
         for i, f in enumerate(syms):
             for g in syms[i + 1:]:
-                assert not f.candidate.same_map(g.candidate)
+                assert not same_map(f.candidate, g.candidate)
     ok(8, "orthogonality, zero-residual certification, closure, identity "
           "and parameter-map distinctness hold on all %d surfaces"
           % len(names))

@@ -22,7 +22,7 @@ from ruledsym.solver import solve_parameter_maps
 from ruledsym.surface import surface_from_json
 from ruledsym.upoly import UniPoly
 
-from conftest import SURFACE_JSON
+from conftest import SURFACE_JSON, is_identity_map, same_map
 
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -103,7 +103,7 @@ def test_golden_distinct_parameter_maps(golden):
     syms = symmetries(golden)
     for i, f in enumerate(syms):
         for g in syms[i + 1:]:
-            assert not f.candidate.same_map(g.candidate)
+            assert not same_map(f.candidate, g.candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_identity_candidate_can_carry_extra_matrices():
         "q": ["t^2 + 1", "t", "2*t^2 + t + 2"],
     })
     cands = solve_parameter_maps(cone, build_systems(cone))
-    ident = [c for c in cands if c.is_identity_map()]
+    ident = [c for c in cands if is_identity_map(c)]
     assert len(ident) == 1
     mats = solve_q_matrices(PsiImages(cone, ident[0]))
     # the direction curve spans only a plane, so the identity map is

@@ -83,7 +83,7 @@ def test_only_algnum_builds_alg_values(path):
 
 
 def _groebner_calls(path):
-    """Lines that call sympy.groebner."""
+    """Lines that call a function named groebner."""
     tree = ast.parse(path.read_text())
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
@@ -105,3 +105,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []
+
+
+def test_solver_has_no_expression_layer():
+    # the solver hands sympy's Groebner engine ring elements; no sympy
+    # expression is built on the way
+    names = set()
+    for node in ast.walk(ast.parse((SOURCE / "solver.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add("%s.%s" % (node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names.update((alias.name, "%s.%s" % (node.module, alias.name)))
+    assert names & {"Symbol", "Dummy", "as_expr", "sympy.groebner"} == set()
