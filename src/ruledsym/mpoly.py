@@ -7,8 +7,8 @@ polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
 The module provides arithmetic, evaluation, substitution of values and
-univariate views; it has no division or gcd (exact elimination and
-factorisation go through sympy).
+univariate views; it has no division or gcd (exact elimination goes
+through the groebner module, factorisation through sympy).
 """
 
 from fractions import Fraction

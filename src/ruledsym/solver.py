@@ -1,18 +1,20 @@
 """Exact solving of the zero-dimensional systems produced by the method.
 
-Each system costs one lex Groebner basis (sympy's Buchberger engine,
-groebnertools, over the rationals) of its equations and, when the caller
-names a polynomial that must not vanish, the Rabinowitsch equation
-u * nonzero - 1, which saturates the ideal by that polynomial (Cox,
-Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 4).  The
-parameter-map solve passes the chart's determinant of the map (alpha on
-the affine chart, -c on the general chart, see phisys), which removes the
-degenerate components of the fractional-linear map.  Every equation goes
-into sympy's polynomial ring straight from its exponent dict, with no
-expression layer, and the engine returns the monic reduced basis.  A unit
-basis means no solution.  The basis is zero-dimensional when every
-unknown has a pure power among its leading monomials; otherwise
-PositiveDimensional is raised.
+Each system costs one lex Groebner basis over the rationals of its
+equations and, when the caller names a polynomial that must not vanish,
+the Rabinowitsch equation u * nonzero - 1, which saturates the ideal by
+that polynomial (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
+ch. 4).  The parameter-map solve passes the chart's determinant of the
+map (alpha on the affine chart, -c on the general chart, see phisys),
+which removes the degenerate components of the fractional-linear map.
+The basis comes from the library's own engine (groebner), a Buchberger on
+integer coefficients and packed monomials: each equation's exponent
+tuples are laid out in the solve order and its denominators cleared, and
+the engine packs every monomial into one int, the solve order's first
+unknown in the most significant field.  It returns the unique reduced
+basis.  A unit basis means no solution.  The basis is zero-dimensional
+when every unknown has a pure power among its leading monomials;
+otherwise PositiveDimensional is raised.
 
 The points are read from a rational univariate representation
 (Rouillier, Solving zero-dimensional systems through the rational
@@ -21,7 +23,10 @@ dimension D, the number of standard monomials of the basis.  A linear form
 theta = sum_i k^i x_i over every unknown of the basis (u included), for
 k = 1, 2, ..., is accepted when the minimal polynomial
 of multiplication by theta, read from the normal forms of 1, theta,
-theta^2, ..., has degree D.  Then Q[theta] is the whole quotient, so each
+theta^2, ..., has degree D.  The engine's reductions are fraction-free,
+so each normal form comes as an integer polynomial and the multiplier it
+was scaled by; dividing by the multiplier gives the exact normal form.
+Then Q[theta] is the whole quotient, so each
 unknown is a polynomial h_i(theta) by one linear solve on the same
 normal forms (the plain span, not Rouillier's trace formula), and each
 real root r of theta's polynomial is exactly one real point
@@ -45,15 +50,13 @@ evaluation.
 """
 
 from fractions import Fraction
-
-from sympy import QQ
-from sympy.polys import groebnertools
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
+from math import gcd, lcm
 
 from .algnum import evaluate_certified, first_dependence, isolate_real_roots
 from .errors import PositiveDimensional, PreconditionViolation
+from .groebner import groebner
 from .linalg import gauss_solve
+from .mpoly import MultiPoly
 from .phisys import candidate_from_point, scale_factors
 from .upoly import UniPoly
 
@@ -70,29 +73,30 @@ def _clean(equations):
     return eqs
 
 
-def _ring_element(R, index, e):
-    """A rational MultiPoly as an element of R; index maps each unknown's
-    name to its generator position in R."""
+def _integer_terms(e, index):
+    """A rational MultiPoly's terms times the least common multiple of its
+    denominators, keyed by exponent tuples in the solve order; index maps
+    each unknown's name to its position."""
+    den = lcm(*(c.denominator for c in e.terms.values()))
     where = [index.get(v) for v in e.vars]
     terms = {}
     for exp, c in e.terms.items():
-        monomial = [0] * R.ngens
+        monomial = [0] * len(index)
         for i, k in enumerate(exp):
             if k:
                 monomial[where[i]] = k
-        terms[tuple(monomial)] = QQ(c.numerator, c.denominator)
-    return R.from_dict(terms)
+        terms[tuple(monomial)] = c.numerator * (den // c.denominator)
+    return terms
 
 
 class _Quotient:
     """Q[x]/I for a zero-dimensional lex basis, on its standard monomials."""
 
-    def __init__(self, R, basis):
-        self.gens = R.gens
-        self.one = R.one
-        self.divisors = basis
-        leads = [g.LM for g in basis]
-        start = (0,) * len(self.gens)
+    def __init__(self, basis):
+        self.basis = basis
+        self.units = basis.ring.units
+        leads = basis.leads()
+        start = (0,) * len(self.units)
         standard, stack = {start}, [start]
         while stack:
             m = stack.pop()
@@ -103,49 +107,52 @@ class _Quotient:
                         for lead in leads):
                     standard.add(up)
                     stack.append(up)
-        self.index = {m: i for i, m in enumerate(sorted(standard))}
+        self.index = {basis.ring.pack(m): i
+                      for i, m in enumerate(sorted(standard))}
 
-    def vector(self, form):
-        """Coordinates of a normal form on the standard monomials."""
+    def vector(self, form, multiplier):
+        """Coordinates of the normal form form / multiplier on the
+        standard monomials."""
         out = [Fraction(0)] * len(self.index)
         for m, c in form.items():
-            out[self.index[m]] = Fraction(int(c.numerator), int(c.denominator))
+            out[self.index[m]] = Fraction(c, multiplier)
         return out
 
     def powers(self, a):
         """Coordinates of a^0, a^1, ..., a^D."""
-        out, form = [], self.one
+        out, form, multiplier = [], {0: 1}, 1
         for _ in range(len(self.index) + 1):
-            out.append(self.vector(form))
-            form = (form * a).rem(self.divisors)
+            out.append(self.vector(form, multiplier))
+            form, m = self.basis.normal_form(form, a)
+            common = gcd(m * multiplier, *form.values())
+            form = {k: c // common for k, c in form.items()}
+            multiplier = m * multiplier // common
         return out
 
     def univariate_representation(self, positions):
         """theta's minimal polynomial and the h_i with x_i = h_i(theta) for
         the generators at these positions, or None when no linear form
         reaches degree D."""
-        n, size = len(self.gens), len(self.index)
+        n, size = len(self.units), len(self.index)
         for k in range(1, (n - 1) * size * (size - 1) // 2 + 2):
-            theta = sum(k ** i * x for i, x in enumerate(self.gens))
+            theta = {x: k ** i for i, x in enumerate(self.units)}
             powers = self.powers(theta)
             minpoly = first_dependence(powers)
             if minpoly.degree() < size:
                 continue
             rows = [list(row) for row in zip(*powers[:size])]
             return minpoly, [
-                UniPoly(gauss_solve(
-                    rows, self.vector(self.gens[i].rem(self.divisors)))[0])
+                UniPoly(gauss_solve(rows, self.vector(
+                    *self.basis.normal_form({self.units[i]: 1})))[0])
                 for i in positions]
         return None
 
     def radical_generators(self):
         """Square-free parts of each generator's minimal polynomial."""
         out = []
-        for x in self.gens:
-            m = first_dependence(self.powers(x))
-            sqf = m // m.gcd(m.derivative())
-            out.append(sum(x ** i * QQ(c.numerator, c.denominator)
-                           for i, c in enumerate(sqf.coeffs)))
+        for x in self.units:
+            m = first_dependence(self.powers({x: 1}))
+            out.append(m // m.gcd(m.derivative()))
         return out
 
 
@@ -181,30 +188,33 @@ def solve_zero_dim(equations, vars, nonzero=None):
     while u in named:
         u += "_"
     order = vars[1:] + ((u,) if nonzero is not None else ()) + (v,)
-    R = ring(order, QQ, lex)[0]
     index = {w: i for i, w in enumerate(order)}
-    gens = [_ring_element(R, index, e) for e in eqs]
+    generators = list(eqs)
     if nonzero is not None:
-        gens.append(R.gens[index[u]] * _ring_element(R, index, nonzero) - 1)
+        generators.append(MultiPoly(nonzero.vars + (u,), {
+            exp + (1,): c for exp, c in nonzero.terms.items()}) - 1)
+    gens = [_integer_terms(e, index) for e in generators]
     positions = [index[w] for w in vars]
     for radical in (False, True):
-        basis = groebnertools.groebner(gens, R)
-        if basis == [R.one]:
+        basis = groebner(gens, len(order))
+        if basis.is_unit():
             return []
         # zero-dimensional: every unknown has a pure power among the
         # leading monomials
-        leads = [g.LM for g in basis]
+        leads = basis.leads()
         if not all(any(sum(m) == m[i] > 0 for m in leads)
-                   for i in range(R.ngens)):
+                   for i in range(len(order))):
             raise PositiveDimensional("the system is not finite", variable=v)
-        quotient = _Quotient(R, basis)
+        quotient = _Quotient(basis)
         rur = quotient.univariate_representation(positions)
         if rur is not None:
             break
         if radical:
             raise PreconditionViolation(
                 "no separating linear form on a radical ideal")
-        gens = basis + quotient.radical_generators()
+        gens = basis.elements() + [
+            _integer_terms(MultiPoly.from_unipoly(order, w, p), index)
+            for w, p in zip(order, quotient.radical_generators())]
     minpoly, coords = rur
     points = [dict(zip(vars, (h(r) for h in coords)))
               for r in isolate_real_roots(minpoly)]

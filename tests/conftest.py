@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ruledsym.mpoly import MultiPoly
@@ -131,3 +133,13 @@ def same_map(c, d):
     """Whether two parameter-map candidates carry the same psi and k."""
     return (c.gamma == d.gamma and c.alpha == d.alpha and c.beta == d.beta
             and c.delta == d.delta and c.k == d.k)
+
+
+def monic_elements(basis):
+    """A groebner.Basis as its monic elements over Q, keyed by exponent
+    tuples, in the basis's order."""
+    out = []
+    for p in basis.elements():
+        lc = p[max(p)]
+        out.append({m: Fraction(c, lc) for m, c in p.items()})
+    return out

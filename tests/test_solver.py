@@ -3,13 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from sympy import QQ
-from sympy.polys import groebnertools
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
 
+from ruledsym import solver
 from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import PositiveDimensional, PreconditionViolation
+from ruledsym.groebner import groebner
 from ruledsym.mpoly import MultiPoly
 from ruledsym.phisys import (
     build_system,
@@ -17,7 +15,7 @@ from ruledsym.phisys import (
 )
 from ruledsym.solver import solve_parameter_maps, solve_zero_dim
 
-from conftest import build_surface, is_identity_map
+from conftest import build_surface, is_identity_map, monic_elements
 
 
 def _mp(vars, builder):
@@ -245,13 +243,12 @@ def test_golden_general_parameter_maps(golden):
 def test_x2_general_branch_maps(monkeypatch):
     surface = build_surface("x2")
     calls = []
-    groebner = groebnertools.groebner
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return groebner(*args, **kwargs)
+        return groebner(*args)
 
-    monkeypatch.setattr(groebnertools, "groebner", counted)
+    monkeypatch.setattr(solver, "groebner", counted)
     cands = solve_parameter_maps(surface, build_systems(surface))
     # one basis per chart
     assert 1 <= len(calls) <= 2
@@ -266,26 +263,28 @@ def test_x2_general_branch_maps(monkeypatch):
     assert len(maps) == 4 and all(m in expected for m in maps)
 
 
-# ---- what sympy's groebnertools returns, which the solver relies on ----
+# ---- what the Groebner engine returns, which the solver relies on ----
 
-def test_groebnertools_unit_ideal_is_one():
-    R, x, y = ring("x,y", QQ, lex)
-    basis = groebnertools.groebner([x - 1, x - 2, y], R)
-    assert basis == [R.one]
+def test_groebner_unit_ideal_is_one():
+    # x - 1, x - 2, y in (x, y)
+    basis = groebner([{(1, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -2},
+                      {(0, 1): 1}], 2)
+    assert basis.is_unit()
+    assert monic_elements(basis) == [{(0, 0): 1}]
 
 
-def test_groebnertools_basis_is_reduced_and_monic():
-    R, x, y = ring("x,y", QQ, lex)
-    basis = groebnertools.groebner([2 * x ** 2 + 2 * y ** 2 - 2, 3 * x - 3 * y],
-                                   R)
-    assert basis == [x - y, y ** 2 - QQ(1, 2)]
-    assert [g.LM for g in basis] == [(1, 0), (0, 2)]
+def test_groebner_basis_is_reduced_and_monic():
+    # 2x^2 + 2y^2 - 2, 3x - 3y
+    basis = groebner([{(2, 0): 2, (0, 2): 2, (0, 0): -2},
+                      {(1, 0): 3, (0, 1): -3}], 2)
+    assert monic_elements(basis) == [{(1, 0): 1, (0, 1): -1},
+                                     {(0, 2): 1, (0, 0): Fraction(-1, 2)}]
+    assert basis.leads() == [(1, 0), (0, 2)]
 
 
 def test_lone_product_is_positive_dimensional():
     # {xy} has no pure power of either unknown among its leading monomials
-    R, x, y = ring("x,y", QQ, lex)
-    assert groebnertools.groebner([x * y], R) == [x * y]
+    assert monic_elements(groebner([{(1, 1): 1}], 2)) == [{(1, 1): 1}]
     v = ("x", "y")
     with pytest.raises(PositiveDimensional):
         solve_zero_dim([_mp(v, lambda s: s["x"] * s["y"])], v)

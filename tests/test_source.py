@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -83,19 +84,24 @@ def test_only_algnum_builds_alg_values(path):
 
 
 def _groebner_calls(path):
-    """Lines that call a function named groebner."""
+    """Lines that call a function named groebner, bare or as an
+    attribute."""
     tree = ast.parse(path.read_text())
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "groebner"]
+            and ((isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "groebner")
+                 or (isinstance(node.func, ast.Name)
+                     and node.func.id == "groebner"))]
 
 
 def test_one_groebner_call_site():
-    # one basis per system: the lex basis is computed in one function only
+    # one basis per system: the lex basis is computed in one function only,
+    # through the library's own engine
     calls = {path.name: _groebner_calls(path)
              for path in sorted(SOURCE.glob("*.py"))}
     assert sum(len(lines) for lines in calls.values()) == 1, calls
+    assert calls["solver.py"], calls
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
@@ -108,8 +114,7 @@ def test_no_assert_statements(path):
 
 
 def test_solver_has_no_expression_layer():
-    # the solver hands sympy's Groebner engine ring elements; no sympy
-    # expression is built on the way
+    # no sympy expression is built on the way to a basis
     names = set()
     for node in ast.walk(ast.parse((SOURCE / "solver.py").read_text())):
         if isinstance(node, ast.Name):
@@ -122,3 +127,24 @@ def test_solver_has_no_expression_layer():
             for alias in node.names:
                 names.update((alias.name, "%s.%s" % (node.module, alias.name)))
     assert names & {"Symbol", "Dummy", "as_expr", "sympy.groebner"} == set()
+
+
+def _imported_modules(path):
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_solver_and_engine_import_no_sympy():
+    # the Groebner engine is the library's own, with no second path through
+    # sympy; the engine itself imports only the standard library
+    for name in ("solver.py", "groebner.py"):
+        assert [m for m in _imported_modules(SOURCE / name)
+                if m.split(".")[0] == "sympy"] == [], name
+    engine = _imported_modules(SOURCE / "groebner.py")
+    assert engine and all(m.split(".")[0] in sys.stdlib_module_names
+                          for m in engine), engine
