@@ -332,10 +332,6 @@ def implicit_pipeline(surface, plane=None):
     for iso in cone_isometries:
         if not any(_same_matrix(iso.Q, seen) for seen in candidates):
             candidates.append(iso.Q)
-    minus = tuple(tuple(Fraction(-1 if i == j else 0) for j in range(3))
-                  for i in range(3))
-    if not any(_same_matrix(minus, seen) for seen in candidates):
-        candidates.append(minus)
     accepted = []
     for q in candidates:
         lift = lift_symmetry(surface, q)

@@ -18,15 +18,15 @@ multiple of f exactly when
 
     lead(f) * H(s) - [s^d]H * F(s) = 0,   F(s) = f(s - gamma delta),
 
-with [s^d]H nonzero: f(alpha) on the general chart, since there
-H(s) = s^d f(alpha + c/s) = sum_i f^(i)(alpha)/i! c^i s^(d-i), and
-lead(f) alpha^d on the affine chart.  The coefficients of s^j, j < d, of
-the left side are polynomial equations in the unknowns; the s^d
-coefficient vanishes identically.  With f = M, the squared direction norm
-(degree exactly 2n, positive on the reals), they are the raw equations:
-orthogonality of the matrix part forces M = K den^(2n) M(psi) with
-K = k^2, and K follows from the leading coefficients: alpha^(-2n) on the
-affine chart, lead(M)/M(alpha) on the other.
+with [s^d]H nonzero.  Its s^j coefficients, j < d, are the equations.  With
+the Taylor coefficients T_i(x) = f^(i)(x)/i! = sum_k C(k, i) f_k x^(k-i)
+they are, in closed form,
+
+    general chart:  e_j = lead(f) c^(d-j) T_(d-j)(alpha) - f(alpha) T_j(-delta),
+    affine chart:   e_j = lead(f) (alpha^j T_j(beta) - alpha^d f_j),
+
+as F(s) = sum_j T_j(-gamma delta) s^j, H(s) = sum_i T_i(alpha) c^i s^(d-i)
+on the general chart and H(s) = sum_j T_j(beta) alpha^j s^j on the other.
 
 On the general chart these are the t-coefficient equations of the same
 identity in other generators and coordinates.  The s- and t-coefficients
@@ -36,26 +36,30 @@ that fixes alpha, so the ideal, its projection on alpha, its saturation
 by the determinant and its real points are those of the t-form; only the
 lex Groebner bases the solver computes get cheaper (delta > c > alpha).
 
-Since psi permutes the projective root multiset of M and preserves root
-multiplicities, it preserves each square-free multiplicity class of M
-separately, and the same formula with f = each (monic) class gives the
-class equations.  They cut the solution set down drastically and are
-equivalent to the raw equations wherever the map is nondegenerate, so
-candidates from the class system are always validated against the raw
-system afterwards.
+Orthogonality of the matrix part forces M = K den^(2n) M(psi), K = k^2,
+for the squared direction norm M (degree 2n, positive on the reals).  As
+psi preserves the projective roots of M with their multiplicities, it
+preserves each square-free multiplicity class f of M, and the e_j of
+every monic class form the system.  At a nondegenerate map (the solver
+saturates by the determinant) they imply the identity for M: each class
+block says H_f = kappa_f F_f with kappa_f = [s^d]H_f / lead(f), which is
+nonzero as f(psi) is not zero, and M = lead(M) prod f^m gives H_M =
+lead(M) prod H_f^m = (prod kappa_f^m) F_M.  K follows from the leading
+coefficients: alpha^(-2n) on the affine chart, lead(M)/M(alpha) on the
+other.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .algnum import alg_sqrt, sign
 from .errors import PreconditionViolation
-from .mpoly import MultiPoly, project
-from .ratfunc import homogenized_eval
+from .mpoly import MultiPoly
 
-# the shifted parameter s, then the chart's unknowns in solver order: the
-# first is solved through its eliminant, the others lex-ordered before it
-AFFINE_VARS = ("s", "alpha", "beta")
-GENERAL_VARS = ("s", "alpha", "delta", "c")
+# the chart's unknowns in solver order: the first is the lex-smallest, the
+# others are lex-ordered before it
+AFFINE_VARS = ("alpha", "beta")
+GENERAL_VARS = ("alpha", "delta", "c")
 
 
 class ReparamCandidate:
@@ -85,16 +89,14 @@ class ReparamCandidate:
 class ReparamSystem:
     """Polynomial conditions on the parameter map on one chart."""
 
-    __slots__ = ("gamma", "vars", "class_equations", "raw_equations", "classes",
-                 "norm_square", "n", "determinant")
+    __slots__ = ("gamma", "vars", "class_equations", "norm_square", "n",
+                 "determinant")
 
-    def __init__(self, gamma, vars, class_equations, raw_equations, classes,
-                 norm_square, n, determinant):
+    def __init__(self, gamma, vars, class_equations, norm_square, n,
+                 determinant):
         self.gamma = gamma
         self.vars = vars
         self.class_equations = class_equations
-        self.raw_equations = raw_equations
-        self.classes = classes
         self.norm_square = norm_square
         self.n = n
         self.determinant = determinant
@@ -103,9 +105,9 @@ class ReparamSystem:
 def psi_parts(space, gamma):
     """alpha, beta, gamma and delta of psi on one chart, over space.
 
-    The one place where the charts differ: on the affine chart beta is an
-    unknown and delta the constant 1; on gamma = 1 delta is an unknown and
-    beta is c + alpha delta.
+    The degree-one path builds its equations from these: on the affine
+    chart beta is an unknown and delta the constant 1; on gamma = 1 delta
+    is an unknown and beta is c + alpha delta.
     """
     alpha = MultiPoly.var(space, "alpha")
     if gamma:
@@ -117,41 +119,47 @@ def psi_parts(space, gamma):
     return alpha, beta, MultiPoly.const(space, gamma), delta
 
 
-def _invariance_equations(f, num, den, t, unknowns):
-    """The s^j coefficients, j < deg f, of lead(f)*H - [s^d]H * F.
+def _taylor(f, i):
+    """T_i = f^(i)/i! as its coefficient list, x^0 first."""
+    return [comb(k, i) * f.coeffs[k] for k in range(i, len(f.coeffs))]
 
-    H = den^d f(num/den) and F = f(t) with d = deg f, where num, den and
-    t are written in s; see the module docstring.  Both have degree d in s,
-    with leading coefficients [s^d]H != 0 and lead(f).
-    """
-    d = f.degree()
-    h = homogenized_eval(f, num, den, d).as_univar("s")
-    ft = homogenized_eval(f, t, t ** 0, d).as_univar("s")
+
+def _class_equations(f, gamma):
+    """The nonzero e_j, j < deg f, of the module docstring on one chart."""
+    d, lead = f.degree(), f.lead()
+    vars = GENERAL_VARS if gamma else AFFINE_VARS
     eqs = []
     for j in range(d):
-        e = h[j] * f.lead() - h[d] * ft[j]
+        terms = {}
+        if gamma:
+            # lead(f) c^(d-j) T_(d-j)(alpha) - f(alpha) T_j(-delta)
+            for a, t in enumerate(_taylor(f, d - j)):
+                terms[(a, 0, d - j)] = lead * t
+            for b, t in enumerate(_taylor(f, j)):
+                t = t if b % 2 else -t
+                for a, fa in enumerate(f.coeffs):
+                    terms[(a, b, 0)] = fa * t
+        else:
+            # lead(f) (alpha^j T_j(beta) - alpha^d f_j)
+            for b, t in enumerate(_taylor(f, j)):
+                terms[(j, b)] = lead * t
+            terms[(d, 0)] = -lead * f.coeffs[j]
+        e = MultiPoly(vars, terms)
         if not e.is_zero():
-            eqs.append(project(e, unknowns))
+            eqs.append(e)
     return eqs
 
 
 def build_system(surface, gamma):
     """The parameter-map system on the chart gamma = 0 (affine) or 1."""
-    space = GENERAL_VARS if gamma else AFFINE_VARS
-    unknowns = space[1:]
-    a, b, g, d = psi_parts(space, gamma)
-    # t in the shifted parameter s = t + gamma delta; then psi = num/den
-    # is alpha s + beta on the affine chart and (alpha s + c)/s on gamma = 1
-    t = MultiPoly.var(space, "s") - g * d
-    num, den = a * t + b, g * t + d
+    vars = GENERAL_VARS if gamma else AFFINE_VARS
     m = surface.norm_square()
-    classes = m.squarefree_decomposition()
     class_eqs = []
-    for f, _ in classes:
-        class_eqs.extend(_invariance_equations(f, num, den, t, unknowns))
-    raw = _invariance_equations(m, num, den, t, unknowns)
-    return ReparamSystem(gamma, unknowns, class_eqs, raw, classes, m,
-                         surface.n, project(a * d - b * g, unknowns))
+    for f, _ in m.squarefree_decomposition():
+        class_eqs.extend(_class_equations(f, gamma))
+    determinant = (-MultiPoly.var(vars, "c") if gamma
+                   else MultiPoly.var(vars, "alpha"))
+    return ReparamSystem(gamma, vars, class_eqs, m, surface.n, determinant)
 
 
 def build_systems(surface):

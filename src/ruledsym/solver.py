@@ -226,22 +226,17 @@ def solve_zero_dim(equations, vars, nonzero=None):
 
 
 def solve_parameter_maps(surface, systems):
-    """Validated parameter-map candidates (both branches, both signs of k).
+    """Parameter-map candidates (both charts, both signs of k).
 
-    The per-class equations already carve out the solution set wherever
-    the fractional-linear map is invertible (the norm-square law follows
-    from them by comparing leading coefficients), so only they are solved;
-    every candidate point is then checked against the full coefficient
-    system before being admitted.
+    Each chart's class equations are solved, saturated by the determinant
+    of the map.  Every point is then a nondegenerate map, where the class
+    equations imply the norm-square law (see phisys), so each point gives
+    the two candidates of its scale factors.
     """
     candidates = []
     for system in systems:
-        points = solve_zero_dim(system.class_equations, system.vars,
-                                nonzero=system.determinant)
-        for point in points:
-            if not all(evaluate_certified(r, point)
-                       for r in system.raw_equations):
-                continue
+        for point in solve_zero_dim(system.class_equations, system.vars,
+                                    nonzero=system.determinant):
             for k in scale_factors(system, point):
                 candidates.append(candidate_from_point(system, point, k))
     return candidates

@@ -16,6 +16,7 @@ from ruledsym.implicit import (
     sanity_check,
     substitution_holds,
 )
+from ruledsym.isometry import symmetries
 from ruledsym.linalg import identity3
 from ruledsym.parser import parse_multipoly, parse_unipoly
 from ruledsym.upoly import UniPoly
@@ -149,6 +150,16 @@ def test_homogeneous_cone_lifts():
         "axial_rotation": {"rat": "-1"},
         "central_inversion": {"rat": "-1"},
     }
+
+
+@pytest.mark.parametrize("text", [EXAMPLE, THREE_FOLD])
+def test_cone_symmetries_hold_the_central_inversion(text):
+    # the cone's base is its vertex, so psi = id with k = -1 gives Q = -I;
+    # the pipeline lifts -I from the cone's own symmetries
+    cone = parametrize_highest_form(highest_form(implicit(text)))
+    minus = tuple(tuple(-1 if i == j else 0 for j in range(3))
+                  for i in range(3))
+    assert any(iso.Q == minus for iso in symmetries(cone))
 
 
 def test_lift_translations_from_coefficients():

@@ -5,29 +5,32 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ruledsym.algnum import alg_sqrt
+from ruledsym.algnum import alg_sqrt, evaluate_certified
 from ruledsym.errors import PreconditionViolation
 from ruledsym.mpoly import MultiPoly, project
 from ruledsym.phisys import (
+    AFFINE_VARS,
     GENERAL_VARS,
     ReparamSystem,
     build_system,
     build_systems,
     candidate_from_point,
+    psi_parts,
     scale_factors,
 )
 from ruledsym.ratfunc import homogenized_eval
 from ruledsym.implicit import sympy_poly
+from ruledsym.solver import solve_zero_dim
 from ruledsym.upoly import UniPoly
 
-from conftest import build_surface, is_identity_map, same_map, \
-    substitute_poly
+from conftest import SURFACE_JSON, build_surface, is_identity_map, \
+    same_map, substitute_poly
 
 
 def _eval_all(system, **values):
     vals = {k: Fraction(v) for k, v in values.items()}
     return [e.eval({n: vals[n] for n in e.used_vars()})
-            for e in system.class_equations + system.raw_equations]
+            for e in system.class_equations]
 
 
 def _general_point(alpha, beta, delta):
@@ -53,7 +56,7 @@ def test_affine_system_golden_solutions(golden):
     system = build_system(golden, 0)
     assert system.gamma == 0
     assert system.vars == ("alpha", "beta")
-    assert system.class_equations and system.raw_equations
+    assert system.class_equations
     # identity and the half-turn t -> -t solve every equation ...
     for a in (1, -1):
         assert all(v == 0 for v in _eval_all(system, alpha=a, beta=0))
@@ -120,8 +123,7 @@ def test_scale_factors_general(golden):
 
 def test_scale_factors_reject_a_nonpositive_norm():
     # M(t) = t^2 - 1 is negative at alpha = 0, so K = lead/M(0) = -1
-    system = ReparamSystem(1, GENERAL_VARS[1:], [], [], [],
-                           UniPoly([-1, 0, 1]), 1, None)
+    system = ReparamSystem(1, GENERAL_VARS, [], UniPoly([-1, 0, 1]), 1, None)
     with pytest.raises(PreconditionViolation):
         scale_factors(system, {"alpha": Fraction(0), "beta": Fraction(1),
                                "delta": Fraction(0)})
@@ -168,7 +170,61 @@ def test_build_systems_pair(golden):
     assert [s.gamma for s in systems] == [0, 1]
     assert [s.vars for s in systems] == [
         ("alpha", "beta"), ("alpha", "delta", "c")]
-    assert all(s.class_equations and s.raw_equations for s in systems)
+    assert all(s.class_equations for s in systems)
+
+
+# ---- the closed forms against a direct expansion ----
+
+# every corpus surface that takes the parameter-map solve (n >= 2)
+SOLVED = [name for name in SURFACE_JSON if build_surface(name).n >= 2]
+
+
+def _invariance_equations(f, gamma):
+    """The s^j coefficients, j < deg f, of lead(f)*H - [s^d]H * F by
+    expanding H = den^d f(num/den) and F = f(t) over (s, unknowns), with
+    t = s - gamma delta and psi = num/den written in s."""
+    unknowns = GENERAL_VARS if gamma else AFFINE_VARS
+    space = ("s",) + unknowns
+    a, b, g, d = psi_parts(space, gamma)
+    t = MultiPoly.var(space, "s") - g * d
+    num, den = a * t + b, g * t + d
+    deg = f.degree()
+    h = homogenized_eval(f, num, den, deg).as_univar("s")
+    ft = homogenized_eval(f, t, t ** 0, deg).as_univar("s")
+    eqs = []
+    for j in range(deg):
+        e = h[j] * f.lead() - h[deg] * ft[j]
+        if not e.is_zero():
+            eqs.append(project(e, unknowns))
+    return eqs
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("name", SOLVED)
+def test_class_equations_match_the_expansion(name, gamma):
+    # term for term and in the same order: class by class, then by j
+    surface = build_surface(name)
+    expected = []
+    for f, _ in surface.norm_square().squarefree_decomposition():
+        expected.extend(_invariance_equations(f, gamma))
+    system = build_system(surface, gamma)
+    assert system.class_equations == expected
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("name", SOLVED)
+def test_class_points_satisfy_the_norm_square_law(name, gamma):
+    # the class equations imply the equations of M = |q|^2 itself at every
+    # nondegenerate map, and the saturation leaves no other point
+    surface = build_surface(name)
+    system = build_system(surface, gamma)
+    raw = _invariance_equations(surface.norm_square(), gamma)
+    points = solve_zero_dim(system.class_equations, system.vars,
+                            nonzero=system.determinant)
+    # the identity is on the affine chart; the general chart may be empty
+    assert points or gamma
+    for point in points:
+        assert all(evaluate_certified(e, point) for e in raw)
 
 
 # ---- the s-form general chart against the t-form ----

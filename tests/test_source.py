@@ -148,3 +148,31 @@ def test_solver_and_engine_import_no_sympy():
     engine = _imported_modules(SOURCE / "groebner.py")
     assert engine and all(m.split(".")[0] in sys.stdlib_module_names
                           for m in engine), engine
+
+
+def _slot_fields():
+    """(class, field) for every __slots__ entry of a library class."""
+    fields = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    fields.extend((node.name, field)
+                                  for field in ast.literal_eval(stmt.value))
+    return fields
+
+
+def test_every_slot_is_read():
+    # a field that is stored but never loaded is dead state
+    loaded = {node.attr
+              for path in SOURCE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    fields = _slot_fields()
+    assert fields
+    assert [f for f in fields if f[1] not in loaded] == []
