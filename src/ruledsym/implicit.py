@@ -2,15 +2,17 @@
 
 For an irreducible surface F = 0 of total degree N, every symmetry
 x -> Qx + b forces Qx to be a symmetry of the cone cut out by the sum of
-the degree-N monomials of F.  Irreducibility over Q is checked first, by
-one exact factorisation.  The cone passes through the origin, so its
-symmetries can be computed with the ruled-surface machinery once a conical
-parametrization s*r(t) is found by slicing with a coordinate plane.  Each
-orthogonal part Q harvested from the cone is then lifted back to the full
-surface: with F = F_N + F_{N-1} + ..., the degree-N and degree-(N-1) parts
-of F(Qx + b) = lambda*F(x) are linear in (b, lambda) over the number field
-of Q's entries, so one exact Gaussian elimination gives the only candidate
-lift, and exact substitution of the whole identity certifies it.
+the degree-N monomials of F.  Irreducibility over Q is checked first, on
+a line: F restricted to a line is irreducible of degree N for almost every
+line when F is irreducible, and never when F is not.  The cone passes
+through the origin, so its symmetries can be computed with the
+ruled-surface machinery once a conical parametrization s*r(t) is found by
+slicing with a coordinate plane.  Each orthogonal part Q harvested from
+the cone is then lifted back to the full surface: with F = F_N + F_{N-1}
++ ..., the degree-N and degree-(N-1) parts of F(Qx + b) = lambda*F(x) are
+linear in (b, lambda) over the number field of Q's entries, so one exact
+Gaussian elimination gives the only candidate lift, and exact
+substitution of the whole identity certifies it.
 
 The cone always admits the central inversion, so -I is among the lifted
 candidates; central symmetries of F = 0 found this way are reported with a
@@ -19,8 +21,6 @@ them the way it does for rotations and reflections.
 """
 
 from fractions import Fraction
-
-import sympy
 
 from .algnum import common_field, sign
 from .errors import (
@@ -36,6 +36,7 @@ from .ratfunc import RatFunc
 from .report import SymmetryReport, encode_value, encode_vector
 from .surface import RuledSurface
 from .solver import solve_zero_dim
+from .upoly import UniPoly, factor_rational
 
 _XYZ = ("x", "y", "z")
 _ZERO = Fraction(0)
@@ -73,18 +74,41 @@ def _form(F, d):
 
 def sympy_poly(e):
     """A rational MultiPoly as a sympy Poly over QQ, from its exponent dict."""
+    import sympy
+
     # from_dict converts the coefficients of the dict it is given in place
     return sympy.Poly.from_dict(dict(e.terms),
                                 [sympy.Symbol(v) for v in e.vars], domain="QQ")
 
 
+# the lines origin + t*direction that sanity_check tries, in order: small
+# integer points off the origin, directions with no zero coordinate
+_LINES = (((1, 2, 3), (2, -3, 5)), ((-2, 1, 4), (3, 1, -2)),
+          ((3, -1, 2), (1, 4, 3)), ((2, 5, -3), (-4, 3, 1)))
+
+
 def sanity_check(surface):
     """Raise PreconditionViolation unless F is irreducible over Q.
 
-    One exact factorisation over Q (sympy's multivariate factorisation,
-    Wang's EEZ algorithm) must find exactly one non-constant factor, of
+    A line o + t*d certifies irreducibility when F(o + t*d) has degree N
+    and is irreducible over Q: its t^N coefficient is F_N(d), so a
+    factorisation F = G*H would restrict to factors of degrees deg G and
+    deg H, as G_top(d)*H_top(d) = F_N(d) != 0.  By Hilbert's
+    irreducibility theorem almost every line certifies an irreducible F
+    (Kaltofen, Effective Hilbert irreducibility, Inform. and Control 66,
+    1985).  Only when none of the fixed lines certifies does one exact
+    factorisation over Q (sympy's multivariate factorisation, Wang's EEZ
+    algorithm) decide: it must find exactly one non-constant factor, of
     multiplicity one; the error details list the factors otherwise.
     """
+    # a constant F has no factor for a line to certify
+    for origin, direction in _LINES if surface.N else ():
+        line = surface.F.eval({v: UniPoly([o, d]) for v, o, d
+                               in zip(_XYZ, origin, direction)})
+        if line.degree() == surface.N:
+            _, factors = factor_rational(line)
+            if len(factors) == 1 and factors[0][1] == 1:
+                return
     _, factors = sympy_poly(surface.F).factor_list()
     if len(factors) != 1 or factors[0][1] != 1:
         raise PreconditionViolation(

@@ -7,8 +7,9 @@ polynomials from different variable spaces is an error, which keeps
 exponent tuples unambiguous.
 
 The module provides arithmetic, evaluation, substitution of values and
-univariate views; it has no division or gcd (exact elimination goes
-through the groebner module, factorisation through sympy).
+univariate views; it has no division, gcd or factorisation (exact
+elimination goes through the groebner module, and irreducibility is
+certified on a univariate restriction in the implicit module).
 """
 
 from fractions import Fraction

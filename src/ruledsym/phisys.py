@@ -125,7 +125,9 @@ def _taylor(f, i):
 
 
 def _class_equations(f, gamma):
-    """The nonzero e_j, j < deg f, of the module docstring on one chart."""
+    """The e_j, j < deg f, of the module docstring on one chart; none is
+    zero, as the k = d term lead(f)^2 C(d, j) alpha^j c^(d-j) (or
+    beta^(d-j)) of e_j is not."""
     d, lead = f.degree(), f.lead()
     vars = GENERAL_VARS if gamma else AFFINE_VARS
     eqs = []
@@ -144,26 +146,34 @@ def _class_equations(f, gamma):
             for b, t in enumerate(_taylor(f, j)):
                 terms[(j, b)] = lead * t
             terms[(d, 0)] = -lead * f.coeffs[j]
-        e = MultiPoly(vars, terms)
-        if not e.is_zero():
-            eqs.append(e)
+        eqs.append(MultiPoly(vars, terms))
     return eqs
+
+
+def _chart_system(gamma, m, classes, n):
+    """The system on one chart from the squared direction norm m and its
+    square-free decomposition."""
+    vars = GENERAL_VARS if gamma else AFFINE_VARS
+    class_eqs = []
+    for f, _ in classes:
+        class_eqs.extend(_class_equations(f, gamma))
+    determinant = (-MultiPoly.var(vars, "c") if gamma
+                   else MultiPoly.var(vars, "alpha"))
+    return ReparamSystem(gamma, vars, class_eqs, m, n, determinant)
 
 
 def build_system(surface, gamma):
     """The parameter-map system on the chart gamma = 0 (affine) or 1."""
-    vars = GENERAL_VARS if gamma else AFFINE_VARS
     m = surface.norm_square()
-    class_eqs = []
-    for f, _ in m.squarefree_decomposition():
-        class_eqs.extend(_class_equations(f, gamma))
-    determinant = (-MultiPoly.var(vars, "c") if gamma
-                   else MultiPoly.var(vars, "alpha"))
-    return ReparamSystem(gamma, vars, class_eqs, m, surface.n, determinant)
+    return _chart_system(gamma, m, m.squarefree_decomposition(), surface.n)
 
 
 def build_systems(surface):
-    return build_system(surface, 0), build_system(surface, 1)
+    """Both charts' systems, from one squared norm and its decomposition."""
+    m = surface.norm_square()
+    classes = m.squarefree_decomposition()
+    return (_chart_system(0, m, classes, surface.n),
+            _chart_system(1, m, classes, surface.n))
 
 
 def scale_factors(system, point):

@@ -10,8 +10,9 @@ Rational polynomials run on an integer kernel: a product clears the
 denominators of both factors once, convolves Python integers and builds one
 ``Fraction`` per output coefficient, and the gcd is a primitive remainder
 sequence over the integers; ``rational_homogenized_eval`` substitutes a
-rational function into a polynomial the same way.  Products with other
-coefficients use the generic loop.
+rational function into a polynomial the same way, and ``factor_rational``
+factors over Z by Zassenhaus's method, modulo a prime and its powers.
+Products with other coefficients use the generic loop.
 
 Coefficients are stored dense and ascending: ``UniPoly([1, 0, 2])`` is
 ``1 + 2*t^2``.  The zero polynomial has an empty coefficient tuple and
@@ -19,8 +20,10 @@ degree -1.
 """
 
 import functools
+import itertools
+import random
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .errors import PreconditionViolation, ZeroInput
 
@@ -393,7 +396,231 @@ class UniPoly:
         return "UniPoly(%s)" % self.render()
 
 
-# ---- sympy-backed factorisation over Q (cached) ----
+# ---- factorisation over Q: Zassenhaus on Python integers (cached) ----
+#
+# Polynomials modulo m are ascending lists of residues in [0, m) with no
+# trailing zeros; the modulus is a prime p or, during Hensel lifting, a
+# power of it.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add_mod(a, b, m, sign=1):
+    """a + sign*b modulo m."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _trim([c % m for c in out])
+
+
+def _mul_mod(a, b, m):
+    return _trim([c % m for c in _convolve(a, b)])
+
+
+def _divmod_mod(a, b, m):
+    """Quotient and remainder of a by b modulo m; the lead of b must be a
+    unit modulo m."""
+    inv = pow(b[-1], -1, m)
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % m
+        q[k] = c
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return _trim(q), _trim([c % m for c in r[:db]])
+
+
+def _monic_mod(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd over the field of p elements."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _xgcd_mod(a, b, p):
+    """s and t with s a + t b = 1 modulo p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add_mod(s0, _mul_mod(q, s1, p), p, -1)
+        t0, t1 = t1, _add_mod(t0, _mul_mod(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _pow_mod(a, e, f, p):
+    """a^e modulo f and p, by repeated squaring."""
+    out, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+    return out
+
+
+def _good_prime(f):
+    """The least odd prime that divides neither the lead of f nor its
+    discriminant (f modulo p keeps its degree and stays square-free)."""
+    p = 3
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)) and f[-1] % p:
+            g = _monic_mod([c % p for c in f], p)
+            dg = _trim([i * c % p for i, c in enumerate(g)][1:])
+            if dg and len(_gcd_mod(g, dg, p)) == 1:
+                return p
+        p += 2
+
+
+def _distinct_degree(f, p):
+    """(product of all irreducible factors of degree d, d) for monic
+    square-free f modulo p."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _pow_mod(h, p, f, p)
+        g = _gcd_mod(f, _add_mod(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Cantor-Zassenhaus: the monic irreducible factors, all of degree d, of
+    square-free g modulo an odd prime p."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        h = _gcd_mod(g, _add_mod(_pow_mod(a, e, g, p), [1], p, -1), p)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, p, rng)
+                    + _equal_degree(_divmod_mod(g, h, p)[0], d, p, rng))
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """One quadratic Hensel step (von zur Gathen and Gerhard, Modern
+    Computer Algebra, Algorithm 15.10): from f = g h and s g + t h = 1
+    modulo m, h monic, to the same modulo m^2."""
+    mm = m * m
+    e = _add_mod([c % mm for c in f], _mul_mod(g, h, mm), mm, -1)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, mm), _mul_mod(q, g, mm), mm), mm)
+    h = _add_mod(h, r, mm)
+    b = _add_mod(_add_mod(_mul_mod(s, g, mm), _mul_mod(t, h, mm), mm),
+                 [1], mm, -1)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h, mm)
+    s = _add_mod(s, d, mm, -1)
+    t = _add_mod(t, _add_mod(_mul_mod(t, b, mm), _mul_mod(c, g, mm), mm),
+                 mm, -1)
+    return g, h, s, t
+
+
+def _hensel_lift(f, factors, p, modulus):
+    """The monic lifts modulo modulus = p^(2^k) of monic factors with f =
+    lead(f) * prod(factors) modulo p, by a balanced factor tree."""
+    if len(factors) == 1:
+        return [_monic_mod([c % modulus for c in f], modulus)]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _mul_mod(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = _mul_mod(h, u, p)
+    s, t = _xgcd_mod(g, h, p)
+    m = p
+    while m < modulus:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return (_hensel_lift(g, factors[:half], p, modulus)
+            + _hensel_lift(h, factors[half:], p, modulus))
+
+
+def _exact_quotient(f, g):
+    """f / g if g divides f in Z[x], else None."""
+    r, dg, lead = list(f), len(g) - 1, g[-1]
+    if len(r) < len(g) or (f[0] and (not g[0] or f[0] % g[0])):
+        return None
+    q = [0] * (len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + dg], lead)
+        if rest:
+            return None
+        q[k] = c
+        if c:
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    return None if any(r[:dg]) else q
+
+
+def _recombine(f, lifts, modulus):
+    """Zassenhaus recombination: the irreducible factors of f from the
+    lifts of its modular factors, trying subsets smallest first.
+
+    Every irreducible factor g of f is lead(f)/lead(g) g = lead(f) times
+    the product of one subset of the lifts modulo the modulus, which
+    exceeds twice the coefficient bound, so the symmetric residue is g up
+    to its content; a factor from a smallest subset is irreducible.
+    """
+    out, size, half = [], 1, modulus // 2
+    while 2 * size <= len(lifts):
+        for subset in itertools.combinations(range(len(lifts)), size):
+            g = [f[-1] % modulus]
+            for i in subset:
+                g = _mul_mod(g, lifts[i], modulus)
+            g = _primitive_ints([c - modulus if c > half else c for c in g])
+            q = _exact_quotient(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                lifts = [u for i, u in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+def _factor_squarefree(f, rng):
+    """The irreducible factors in Z[x] of primitive square-free f."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    p = _good_prime(f)
+    blocks = _distinct_degree(_monic_mod([c % p for c in f], p), p)
+    modular = [u for g, d in blocks for u in _equal_degree(g, d, p, rng)]
+    if len(modular) == 1:
+        return [f]
+    # Mignotte: a factor of f has coefficients at most 2^n ||f||_2
+    bound = 2 * abs(f[-1]) * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    return _recombine(f, _hensel_lift(f, modular, p, modulus), modulus)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -401,26 +628,25 @@ def factor_rational(p):
     """Factor a rational-coefficient polynomial over Q.
 
     Returns (leading_unit, [(monic irreducible UniPoly, multiplicity), ...])
-    with leading_unit a Fraction so that the product reconstructs p.
+    with leading_unit a Fraction so that the product reconstructs p.  Each
+    square-free part is factored over Z by Zassenhaus's method: modulo the
+    first good prime p, Hensel lifting to a power of p above twice the
+    Mignotte bound, and recombination by trial division.  The equal-degree
+    splitting draws from a generator seeded per call; the factorisation is
+    unique, so the seed only makes the times repeat.
     """
     if p.is_zero():
         raise ZeroInput("factorisation of zero")
     if p.degree() == 0:
         return (p.coeffs[0], [])
-    from sympy import Poly, Rational, Symbol
-
-    tsym = Symbol("t")
-    sp = Poly([Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-              tsym, domain="QQ")
-    _, factors = sp.factor_list()
+    rng = random.Random(0)
     out = []
-    unit = p.lead()
-    for f, mult in factors:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        fp = UniPoly(coeffs).monic()
-        out.append((fp, int(mult)))
+    for g, mult in p.squarefree_decomposition():
+        ints = _primitive_ints(_integer_form(g.coeffs)[1])
+        for f in _factor_squarefree(ints, rng):
+            out.append((UniPoly([Fraction(c, f[-1]) for c in f]), mult))
     out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-    return (unit, out)
+    return (p.lead(), out)
 
 
 def rational_homogenized_eval(p, num, den, m):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -148,6 +149,29 @@ def test_reducible_implicit_input_exits_two(capsys):
     error = json.loads(captured.err)["error"]
     assert error["code"] == "PRECONDITION_VIOLATION"
     assert "x + y + z" in error["details"]["factors"]
+
+
+@pytest.mark.parametrize("case", ["golden", "implicit"])
+def test_cli_never_imports_sympy(tmp_path, case):
+    # a fresh interpreter: nothing a run of the CLI reaches loads sympy
+    if case == "golden":
+        argv, count = ["--input", write_input(tmp_path, "golden")], 8
+    else:
+        argv, count = ["--mode", "implicit", "--poly", EXAMPLE_POLY], 4
+    code = ("import sys\n"
+            "from ruledsym.cli import run\n"
+            "rc = run(sys.argv[1:])\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'sympy')))\n"
+            "sys.exit(rc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == count
+    assert proc.stderr == "[]"
 
 
 def test_mesh_emission(tmp_path, capsys):

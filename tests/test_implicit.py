@@ -70,6 +70,43 @@ def test_sanity_check_refutes_repeated_factors():
     assert "x + y + z" in info.value.details["factors"]
 
 
+# irreducible inputs that the first lines of sanity_check certify: the
+# four bases of the implicit benchmark (the README sextic, the sextic with
+# a linear term, the odd cone and the surface of revolution), the three-
+# and five-fold cones and the sphere
+CERTIFIED = [EXAMPLE, EXAMPLE + " + x", ODD_CONE, "x*y + x*z + y*z",
+             THREE_FOLD, FIVE_FOLD, SPHERE]
+REDUCIBLE = ["(x + y)^2", "(x^2 + y^2 + z^2)^2", "(%s)*(x + y + z)" % SPHERE,
+             # on the first line 3x + 2y is the constant 7, so F restricts
+             # to an irreducible quadratic, of degree below N
+             "(3*x + 2*y)*(%s)" % SPHERE]
+
+
+@pytest.mark.parametrize("text", CERTIFIED)
+def test_sanity_check_certifies_on_a_line(text, monkeypatch):
+    def fallback(e):
+        raise AssertionError("no line certified %s" % text)
+
+    monkeypatch.setattr(implicit_module, "sympy_poly", fallback)
+    sanity_check(implicit(text))
+
+
+@pytest.mark.parametrize("text", REDUCIBLE)
+def test_reducible_input_reaches_the_exact_fallback(text, monkeypatch):
+    # no line can certify a reducible F; the exact factorisation refutes it
+    calls = []
+    exact = implicit_module.sympy_poly
+
+    def spy(e):
+        calls.append(e)
+        return exact(e)
+
+    monkeypatch.setattr(implicit_module, "sympy_poly", spy)
+    with pytest.raises(PreconditionViolation):
+        sanity_check(implicit(text))
+    assert len(calls) == 1
+
+
 def test_parametrize_default_section():
     cone = parametrize_highest_form(highest_form(implicit(EXAMPLE)))
     assert cone is not None

@@ -213,6 +213,23 @@ def test_class_equations_match_the_expansion(name, gamma):
 
 @pytest.mark.parametrize("gamma", [0, 1])
 @pytest.mark.parametrize("name", SOLVED)
+def test_every_class_gives_one_equation_per_degree(name, gamma):
+    # the k = d term of e_j is never zero, so no e_j is dropped; both
+    # charts of build_systems share one norm square and equal build_system
+    surface = build_surface(name)
+    system = build_system(surface, gamma)
+    degrees = [f.degree() for f, _ in
+               surface.norm_square().squarefree_decomposition()]
+    assert len(system.class_equations) == sum(degrees)
+    assert all(not e.is_zero() for e in system.class_equations)
+    paired = build_systems(surface)[gamma]
+    assert paired.class_equations == system.class_equations
+    assert paired.determinant == system.determinant
+    assert paired.norm_square == system.norm_square
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("name", SOLVED)
 def test_class_points_satisfy_the_norm_square_law(name, gamma):
     # the class equations imply the equations of M = |q|^2 itself at every
     # nondegenerate map, and the saturation leaves no other point

@@ -139,12 +139,38 @@ def _imported_modules(path):
     return modules
 
 
+def _sympy_imports(path):
+    """(enclosing function or None, line) of every import of sympy."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if not child.level else []
+            else:
+                names = []
+            if any(n.split(".")[0] == "sympy" for n in names):
+                found.append((function, child.lineno))
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
 def test_solver_and_engine_import_no_sympy():
-    # the Groebner engine is the library's own, with no second path through
-    # sympy; the engine itself imports only the standard library
-    for name in ("solver.py", "groebner.py"):
-        assert [m for m in _imported_modules(SOURCE / name)
-                if m.split(".")[0] == "sympy"] == [], name
+    # no module of the library imports sympy at module level, and the one
+    # import inside a function is the exact fallback of implicit's
+    # irreducibility check; the Groebner engine imports only the standard
+    # library
+    imports = {path.name: _sympy_imports(path)
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: [f for f, _ in found]
+            for name, found in imports.items() if found} == \
+        {"implicit.py": ["sympy_poly"]}
     engine = _imported_modules(SOURCE / "groebner.py")
     assert engine and all(m.split(".")[0] in sys.stdlib_module_names
                           for m in engine), engine

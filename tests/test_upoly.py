@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ruledsym.algnum import alg_sqrt
 from ruledsym.errors import ZeroInput
+from ruledsym import upoly as upoly_module
 from ruledsym.mpoly import MultiPoly
+from ruledsym.parser import parse_unipoly
 from ruledsym.ratfunc import RatFunc, homogenized_eval
 from ruledsym.upoly import UniPoly, factor_rational, frac_gcd, poly_gcd, poly_lcm
 
@@ -259,3 +261,133 @@ def test_rational_kernel_matches_sympy(a, b, p, pad):
     ref = [in_q_sqrt2(c) for c in reversed(ref)] if not a.is_zero() else []
     assert len(got.coeffs) == len(ref)
     assert all(x == y for x, y in zip(got.coeffs, ref))
+
+
+# ---- factorisation against sympy ----
+
+def sympy_factor(p):
+    """factor_rational's result, from sympy's factor_list over QQ."""
+    _, factors = to_sympy(p).factor_list()
+    out = [(from_sympy(f).monic(), int(m)) for f, m in factors]
+    out.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
+    return (p.lead(), out)
+
+
+# the distinct polynomials that tier-1 factors, the zero polynomial of
+# test_zero_polynomials_and_bad_exponents_raise left out
+TIER1_FACTORED = [
+    't',
+    't - 2',
+    't - 6',
+    '9*t^2 - 6*t + 1',
+    't^2 + 1',
+    't^2 + 14*t + 45',
+    't^2 + 2*t - 8',
+    't^2 + 3*t - 10',
+    't^2 + t - 6',
+    't^2 - 1',
+    't^2 - 14*t + 45',
+    't^2 - 2',
+    't^2 - 2*t',
+    't^2 - 2*t - 3',
+    't^2 - 2/3*t - 26/9',
+    't^2 - 225/16',
+    't^2 - 4',
+    't^2 - 48',
+    't^2 - 9',
+    't^2 - t',
+    '2*t^3 - t^2 - 4*t + 2',
+    't^3 - 109/4*t^2 + 206/105*t',
+    't^3 - 9*t^2 + 26*t - 24',
+    '2*t^4 - 2',
+    't^4 + 4*t^3 - 10500*t^2 - 54288*t + 10160640',
+    't^4 + 4*t^3 - 472/3*t^2 - 968/3*t + 6716/3',
+    't^4 - 10*t^2 + 1',
+    't^4 - 10248*t^2 - 32768*t + 9396240',
+    't^4 - 105/2*t^3 + 1118309/1680*t^2 + 9829/16*t - 299/4',
+    't^4 - 1125/2048*t^2 + 15625/16777216',
+    't^4 - 113/105*t^2 + 16/11025',
+    't^4 - 113/2*t^3 + 1392989/1680*t^2 - 1475893/1680*t + 12641/420',
+    't^4 - 14*t^2 + 9',
+    't^4 - 16*t^2 + 4',
+    't^4 - 2*t^2 - 4*t',
+    't^4 - 20*t^2 + 36',
+    't^4 - 260/3*t^2 + 1024/9',
+    't^4 - 28*t^2 + 100',
+    't^4 - 30*t^2 + 81',
+    't^4 - 32*t^2 - 144',
+    't^4 - 392/9*t^2 - 64/9*t + 35332/81',
+    't^4 - 4*t^3 - 264*t^2 + 536*t + 6292',
+    't^4 - 5/4*t^2 + 5/16',
+    't^5 - 6*t^4 + 7*t^3 + 12*t^2 - 18*t',
+    't^6 + 42*t^5 + 593*t^4 + 3012*t^3 + 972*t^2 - 19440*t',
+    't^6 - 142*t^4 + 128*t^3 + 4017*t^2 - 512*t - 13860',
+    't^6 - 81*t^4 - 4*t^3 + 2187*t^2 - 324*t - 19679',
+    't^6 - 9*t^4 - 4*t^3 + 27*t^2 - 36*t - 23',
+    ('t^8 + 71/8*t^7 - 1658001/5120*t^6 - 102170351/163840*t^5'
+     ' + 7322317748323/209715200*t^4 - 495283565911871/3355443200*t^3'
+     ' - 114638569911198961/2147483648000*t^2'
+     ' + 46734056523171595191/68719476736000*t'
+     ' + 84219721204102858057921/175921860444160000'),
+    ('t^8 - 121/8*t^7 - 666641/5120*t^6 + 39802845/32768*t^5'
+     ' + 2277255912803/209715200*t^4 + 48077499364993/3355443200*t^3'
+     ' - 97255721757133681/2147483648000*t^2'
+     ' - 4326658985964230537/68719476736000*t'
+     ' + 13332829674229546219201/175921860444160000'),
+    ('t^8 - 1514/5*t^6 + 2624/5*t^5 + 372531/25*t^4 - 168448/25*t^3'
+     ' - 23129854/125*t^2 - 10288576/125*t + 129065081/625'),
+    't^8 - 40*t^6 + 352*t^4 - 960*t^2 + 576',
+    't^8 - 44*t^6 + 438*t^4 - 1292*t^2 + 529',
+    ('t^16 - 144*t^14 + 7296*t^12 - 170368*t^10 + 1939584*t^8'
+     ' - 10343424*t^6 + 22749184*t^4 - 13885440*t^2 + 921600'),
+]
+
+# Swinnerton-Dyer polynomials: irreducible, with factors of degree at most
+# 2 modulo every prime, so recombination tries every small subset
+SWINNERTON_DYER = {
+    # roots +-sqrt 2 +- sqrt 3 +- sqrt 5
+    8: "t^8 - 40*t^6 + 352*t^4 - 960*t^2 + 576",
+    # roots +-sqrt 2 +- sqrt 3 +- sqrt 5 +- sqrt 7
+    16: ("t^16 - 136*t^14 + 6476*t^12 - 141912*t^10 + 1513334*t^8"
+         " - 7453176*t^6 + 13950764*t^4 - 5596840*t^2 + 46225"),
+}
+
+
+@pytest.mark.parametrize("text", TIER1_FACTORED)
+def test_factor_rational_matches_sympy_on_tier1(text):
+    p = parse_unipoly(text)
+    assert factor_rational.__wrapped__(p) == sympy_factor(p)
+
+
+def test_factor_rational_matches_sympy_on_random_products():
+    # repeated and shared factors, non-monic, coefficients up to 10^12
+    rng = random.Random(11)
+    for _ in range(150):
+        height = rng.choice((3, 40, 10 ** 12))
+        pool = [UniPoly([rng.randint(-height, height)
+                         for _ in range(rng.randint(1, 5))]
+                        + [rng.randint(1, height)])
+                for _ in range(3)]
+        p = UniPoly([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
+        while True:
+            f, e = rng.choice(pool), rng.randint(1, 3)
+            if p.degree() + f.degree() * e > 16:
+                break
+            p = p * f ** e
+        assert factor_rational.__wrapped__(p) == sympy_factor(p), p
+
+
+@pytest.mark.parametrize("degree", sorted(SWINNERTON_DYER))
+def test_factor_rational_recombines_swinnerton_dyer(degree, monkeypatch):
+    seen = []
+    recombine = upoly_module._recombine
+
+    def spy(f, lifts, modulus):
+        seen.append(len(lifts))
+        return recombine(f, lifts, modulus)
+
+    monkeypatch.setattr(upoly_module, "_recombine", spy)
+    p = parse_unipoly(SWINNERTON_DYER[degree])
+    assert factor_rational.__wrapped__(p) == (Fraction(1), [(p, 1)])
+    assert len(seen) == 1 and seen[0] >= degree // 2
+    assert sympy_factor(p) == (Fraction(1), [(p, 1)])
