@@ -408,14 +408,6 @@ class Alg:
             self._seq = self.minpoly.sturm_sequence()
         return self._seq
 
-    def refine(self):
-        """One bisection step of the field generator."""
-        self.field.refine()
-
-    def refine_below(self, width):
-        while self.interval().width() >= width:
-            self.field.refine()
-
     def _isolating(self, width=None):
         """Enclosure holding no other root of the minimal polynomial."""
         while True:
@@ -593,15 +585,7 @@ def sign(x):
     """-1, 0 or 1: the sign of a rational or irrational value."""
     if not isinstance(x, Alg):
         return (x > 0) - (x < 0)
-    # an irrational value is nonzero, so its enclosure leaves zero
-    for _ in range(_MAX_REFINE):
-        iv = x.interval()
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-        x.field.refine()
-    raise PreconditionViolation("sign refinement did not terminate")
+    return x._cmp(0)
 
 
 # ---- binary operations on two irrational values ----
@@ -677,7 +661,7 @@ def alg_sqrt(x):
         return Interval(lo, hi)
 
     def refine():
-        x.refine()
+        x.field.refine()
         prec[0] += 16
 
     return _select_root(doubled, target, refine)

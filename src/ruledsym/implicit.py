@@ -168,34 +168,6 @@ def parametrize_highest_form(form, plane=None):
     return None
 
 
-def compose_coordinates(F, images):
-    """F with every coordinate variable replaced simultaneously.
-
-    ``images`` maps variable names of F to polynomials in F's space; names
-    not listed stay untouched.
-    """
-    total = MultiPoly(F.vars)
-    cache = {}
-
-    def power(name, e):
-        key = (name, e)
-        if key not in cache:
-            img = images[name]
-            cache[key] = img if e == 1 else power(name, e - 1) * img
-        return cache[key]
-
-    for exp, c in F.terms.items():
-        term = MultiPoly.const(F.vars, c)
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            name = F.vars[i]
-            term = term * (power(name, e) if name in images
-                           else MultiPoly.var(F.vars, name, e))
-        total = total + term
-    return total
-
-
 def lift_symmetry(surface, q):
     """The (b, lambda) with F(Qx + b) = lambda*F(x), or None.
 
@@ -211,7 +183,7 @@ def lift_symmetry(surface, q):
     images = _motion_images(_in_common_field(entries) + [_ZERO] * 3)
     top, below = _form(surface.F, surface.N), _form(surface.F, surface.N - 1)
     forms = [top, below] + [_partial(top, k) for k in range(3)]
-    top_q, below_q, *grad_q = [compose_coordinates(f, images) for f in forms]
+    top_q, below_q, *grad_q = [f.eval(images) for f in forms]
     rows, rhs = [], []
     for m in sorted(set(top.terms).union(top_q.terms)):
         rows.append([_ZERO] * 3 + [top.terms.get(m, _ZERO)])
@@ -253,7 +225,7 @@ def substitution_residual(surface, q, b, lam):
     """
     values = _in_common_field(
         [q[i][j] for i in range(3) for j in range(3)] + list(b) + [lam])
-    return (compose_coordinates(surface.F, _motion_images(values[:12]))
+    return (surface.F.eval(_motion_images(values[:12]))
             - MultiPoly.const(_XYZ, values[12]) * surface.F)
 
 

@@ -6,12 +6,15 @@ completely: the orthogonal part must intertwine the direction curve with
 its reparametrized image, which is a linear condition on the rows of Q,
 and the translation part then satisfies linear conditions obtained from
 the base curve once the unknown ruling shift is eliminated pairwise.
-Everything stays exact; candidates that fail any of the resulting
-identities are discarded, and the survivors are certified by direct
-substitution into both defining identities before being classified
-geometrically.
+One loop in ``symmetries`` turns every candidate into motions, whether
+the candidate comes from the parameter-map solver or, for a direction
+curve of degree one, from the coupled system of that case.  Everything
+stays exact; candidates that fail any of the resulting identities are
+discarded, and the survivors are certified by direct substitution into
+both defining identities before being classified geometrically.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -31,6 +34,7 @@ from .linalg import (
     mat_inv3,
     mat_mul,
     mat_vec,
+    solve_cross_constant,
     trace,
 )
 from .mpoly import MultiPoly
@@ -213,34 +217,12 @@ _PAIRS = ((0, 1), (1, 2), (0, 2))
 def solve_translation(images, gaps):
     """The unique translation vector for this orthogonal part, or None.
 
-    ``gaps`` are ``images.base_gaps(q)``.  Eliminating the ruling shift
-    between components i and j leaves
-        [G_i + b_i W] q_j(psi) = [G_j + b_j W] q_i(psi)
-    as a polynomial identity; matching coefficients over all three pairs
-    gives a linear system whose solution is unique for non-cylindrical
-    surfaces.
+    ``gaps`` are ``images.base_gaps(q)``.  The base identity says that
+    G + b W is parallel to q(psi): (G + b W) x Hq = 0, matched coefficient
+    by coefficient over the three component pairs.  The solution is unique
+    for non-cylindrical surfaces, and it makes every pair identity hold.
     """
-    w_poly, hq = images.w, images.hq
-    rows, rhs = [], []
-    for i, j in _PAIRS:
-        constant = gaps[i] * hq[j] - gaps[j] * hq[i]
-        coeff_i = w_poly * hq[j]
-        coeff_j = w_poly * hq[i]
-        top = max(constant.degree(), coeff_i.degree(), coeff_j.degree())
-        for d in range(top + 1):
-            row = [_ZERO, _ZERO, _ZERO]
-            row[i] = coeff_i.coeff(d)
-            row[j] = -coeff_j.coeff(d)
-            if all(x == 0 for x in row):
-                if constant.coeff(d) != 0:
-                    return None
-                continue
-            rows.append(row)
-            rhs.append(-constant.coeff(d))
-    if not rows:
-        raise PreconditionViolation(
-            "translation system degenerated for a non-cylindrical surface")
-    solved = gauss_solve(rows, rhs)
+    solved = solve_cross_constant(gaps, images.w, images.hq)
     if solved is None:
         return None
     particular, kernel = solved
@@ -251,18 +233,16 @@ def solve_translation(images, gaps):
 
 
 def recover_ruling_shift(images, gaps, b):
-    """The ruling shift c(t), or None when the base identity cannot hold;
-    ``gaps`` are ``images.base_gaps(q)``."""
+    """The ruling shift c(t) for the translation b from
+    ``solve_translation``, which matches every component pair, so the pivot
+    component alone gives it; ``gaps`` are ``images.base_gaps(q)``."""
     w_poly, hq = images.w, images.hq
-    full = [gaps[i] + w_poly * b[i] for i in range(3)]
     pivot = next((i for i in range(3) if not hq[i].is_zero()), None)
     if pivot is None:
         raise PreconditionViolation("the direction curve is identically zero")
-    for j in range(3):
-        if j != pivot and full[j] * hq[pivot] != full[pivot] * hq[j]:
-            return None
     scale = images.den ** images.surface.n
-    return RatFunc(full[pivot] * scale, w_poly * hq[pivot])
+    return RatFunc((gaps[pivot] + w_poly * b[pivot]) * scale,
+                   w_poly * hq[pivot])
 
 
 def verify_symmetry(surface, candidate, q, b, c):
@@ -302,28 +282,17 @@ def verify_symmetry(surface, candidate, q, b, c):
 
 def _canonical_direction(v):
     if not any(isinstance(x, Alg) for x in v):
-        denom = 1
-        for f in v:
-            denom = denom * f.denominator // _gcd(denom, f.denominator)
-        ints = [f * denom for f in v]
-        g = 0
-        for i in ints:
-            g = _gcd(g, abs(i.numerator))
+        denom = math.lcm(*(f.denominator for f in v))
+        ints = [int(f * denom) for f in v]
+        g = math.gcd(*ints)
         if g:
-            ints = [i / g for i in ints]
+            ints = [i // g for i in ints]
         lead = next((i for i in ints if i != 0), None)
         if lead is not None and lead < 0:
             ints = [-i for i in ints]
         return tuple(Fraction(i) for i in ints)
     inv = 1 / next(x for x in v if x != 0)
     return tuple(x * inv for x in v)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _rotation_axis(q, eigenvalue):
@@ -354,28 +323,19 @@ def _sin_from(q, axis, cos):
     return magnitude
 
 
-def _axis_point(q, b, axis):
-    """Point of the rotation axis in the plane through the origin
-    orthogonal to it (the bordered system canonicalizes the choice)."""
+def _fixed_point(q, b, border):
+    """The unique x with (I - Q) x = b, or None.  A row ``border`` adds
+    border . x = 0, which picks a rotation axis's point in the plane
+    through the origin orthogonal to it."""
     rows = [
         [(_ONE if i == j else _ZERO) - q[i][j] for j in range(3)]
         for i in range(3)
     ]
-    rows.append(list(axis))
-    solved = gauss_solve(rows, list(b) + [_ZERO])
-    if solved is None:
-        return None
-    point, kernel = solved
-    return None if kernel else tuple(point)
-
-
-def _fixed_point(q, b):
-    """The unique fixed point when 1 is not an eigenvalue of Q."""
-    rows = [
-        [(_ONE if i == j else _ZERO) - q[i][j] for j in range(3)]
-        for i in range(3)
-    ]
-    solved = gauss_solve(rows, list(b))
+    rhs = list(b)
+    if border is not None:
+        rows.append(list(border))
+        rhs.append(_ZERO)
+    solved = gauss_solve(rows, rhs)
     if solved is None:
         return None
     point, kernel = solved
@@ -405,7 +365,7 @@ def classify(q, b):
         axis = _rotation_axis(q, 1)
         if axis is None:
             raise NotAnIsometry("rotation without a fixed axis direction")
-        point = _axis_point(q, b, axis)
+        point = _fixed_point(q, b, axis)
         if point is None:
             raise NotAnIsometry("a screw motion has infinite order")
         geometry = {
@@ -441,7 +401,7 @@ def classify(q, b):
         axis = _rotation_axis(q, -1)
         if axis is None:
             raise NotAnIsometry("improper rotation without an axis")
-        point = _fixed_point(q, b)
+        point = _fixed_point(q, b, None)
         if point is None:
             raise NotAnIsometry("improper rotation without a fixed point")
         return "rotoreflection", {
@@ -494,9 +454,11 @@ def symmetries(surface):
             "direction curve is constant up to scaling; the symmetry "
             "group is not determined by the parameter-space method")
     if surface.n <= 1:
-        return _linear_direction_symmetries(surface)
-    candidates = solve_parameter_maps(surface, build_systems(surface))
-    vertex = surface.conical_vertex() if surface.base_is_constant() else None
+        candidates = _linear_direction_candidates(surface)
+    else:
+        candidates = solve_parameter_maps(surface, build_systems(surface))
+    vertex = (tuple(c.const_value() for c in surface.p)
+              if surface.base_is_constant() else None)
     found = []
     for cand in candidates:
         images = PsiImages(surface, cand)
@@ -510,8 +472,6 @@ def symmetries(surface):
                 if b is None:
                     continue
                 c = recover_ruling_shift(images, gaps, b)
-                if c is None:
-                    continue
             if not verify_symmetry(surface, cand, q, b, c):
                 continue
             found.append(Isometry(q, b, c, cand))
@@ -524,15 +484,19 @@ def symmetries(surface):
 _LINEAR_VARS = ("t", "alpha", "beta", "delta", "c", "k", "b1", "b2", "b3")
 
 
-def _linear_direction_symmetries(surface):
-    """Restricted solver for direction curves of degree one.
+def _linear_direction_candidates(surface):
+    """Parameter-map candidates for direction curves of degree one.
 
     The multiplicity-class machinery degenerates (two points on the
     projective line admit a continuum of fractional-linear self-maps), so
     the full coupled system in the map, the rescale, the orthogonal part
-    and the translation is solved instead.  The orthogonal part is
-    expressed through the images of the direction frame u, v, u x v,
-    which the direction identity determines linearly in the unknowns.
+    and the translation is solved instead, on both charts and for both
+    signs of det Q.  The orthogonal part is expressed through the images of
+    the direction frame u, v, u x v, which the direction identity
+    determines linearly in the unknowns.  Only the map and the rescale of
+    each point are kept: ``symmetries`` recovers the motions from them as
+    it does for every other surface, and the translation it solves for is
+    the point's, being unique on a non-cylindrical surface.
     """
     u = tuple(q.coeff(0) for q in surface.q)
     v = tuple(q.coeff(1) for q in surface.q)
@@ -540,7 +504,7 @@ def _linear_direction_symmetries(surface):
     frame_inv = mat_inv3(tuple(
         (u[i], v[i], normal[i]) for i in range(3)
     ))
-    found = []
+    candidates = []
     for gamma in (0, 1):
         unknowns = ("alpha", "beta", "k") if gamma == 0 \
             else ("alpha", "delta", "c", "k")
@@ -557,21 +521,11 @@ def _linear_direction_symmetries(surface):
                 raise PositiveDimensional(
                     "the coupled symmetry system for a degree-one "
                     "direction curve is not finite", branch=gamma)
-            for point in points:
-                cand = ReparamCandidate(
-                    gamma, *map_from_point(gamma, point), point["k"], 1)
-                images = PsiImages(surface, cand)
-                b = tuple(point[name] for name in ("b1", "b2", "b3"))
-                for q in solve_q_matrices(images):
-                    if det3(q) != eps:
-                        continue
-                    c = recover_ruling_shift(images, images.base_gaps(q), b)
-                    if c is None:
-                        continue
-                    if not verify_symmetry(surface, cand, q, b, c):
-                        continue
-                    found.append(Isometry(q, b, c, cand))
-    return _finish(found)
+            candidates.extend(
+                ReparamCandidate(gamma, *map_from_point(gamma, point),
+                                 point["k"], 1)
+                for point in points)
+    return candidates
 
 
 def _linear_direction_equations(surface, gamma, eps, u, v, normal, frame_inv):

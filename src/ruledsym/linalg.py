@@ -65,6 +65,38 @@ def mat_inv3(m):
     return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
 
 
+def solve_cross_constant(a, w, h):
+    """Solve (a + w x) x h = 0 for a constant vector x.
+
+    ``a`` and ``h`` are triples of polynomials and ``w`` is a polynomial.
+    Component pair (i, j) of the cross product reads
+        x_i (w h_j) - x_j (w h_i) = a_j h_i - a_i h_j,
+    and matching coefficients over the three pairs gives a linear system in
+    x.  Returns ``gauss_solve``'s answer, or None as soon as a coefficient
+    row vanishes with a nonzero constant.
+    """
+    rows, rhs = [], []
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        constant = a[i] * h[j] - a[j] * h[i]
+        coeff_i = w * h[j]
+        coeff_j = w * h[i]
+        top = max(constant.degree(), coeff_i.degree(), coeff_j.degree())
+        for d in range(top + 1):
+            row = [_ZERO, _ZERO, _ZERO]
+            row[i] = coeff_i.coeff(d)
+            row[j] = -coeff_j.coeff(d)
+            if all(x == 0 for x in row):
+                if constant.coeff(d) != 0:
+                    return None
+                continue
+            rows.append(row)
+            rhs.append(-constant.coeff(d))
+    if not rows:
+        # every coefficient vanishes: any x solves the system
+        return [_ZERO] * 3, [list(r) for r in identity3()]
+    return gauss_solve(rows, rhs)
+
+
 def gauss_solve(rows, rhs):
     """Solve a linear system exactly.
 

@@ -183,18 +183,20 @@ class MultiPoly:
     # ---- evaluation / substitution ----
 
     def eval(self, values):
-        """Full evaluation; values maps every used variable to a number."""
-        total = Fraction(0)
-        cache = [{} for _ in self.vars]
+        """Full evaluation; values maps every used variable to a number, or
+        to a polynomial for a simultaneous substitution.  Powers take one
+        product per step, and the sum starts at the zero of the values'
+        ring, so a zero form substitutes to a zero polynomial."""
+        total = next(iter(values.values()), Fraction(0)) * 0
+        tables = [[] for _ in self.vars]
 
         def power(i, e):
-            if e == 0:
-                return 1
-            hit = cache[i].get(e)
-            if hit is None:
-                hit = values[self.vars[i]] ** e
-                cache[i][e] = hit
-            return hit
+            table = tables[i]
+            if not table:
+                table.append(values[self.vars[i]])
+            while len(table) < e:
+                table.append(table[-1] * table[0])
+            return table[e - 1]
 
         for exp, c in self.terms.items():
             term = c

@@ -13,7 +13,7 @@ isometry stages substitute the parameter maps.
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDirection
-from .linalg import cross, gauss_solve
+from .linalg import cross, solve_cross_constant
 from .parser import parse_ratfunc
 from .ratfunc import _as_ratfunc
 from .upoly import UniPoly, frac_gcd, poly_gcd, poly_lcm
@@ -63,26 +63,11 @@ class RuledSurface:
     def conical_vertex(self):
         """Vertex through which every ruling passes, or None.
 
-        Solves (p(t) - v) x q(t) = 0 for a constant point v by coefficient
-        matching.  For a non-cylindrical direction the vertex is unique
-        when it exists.
+        Solves (p(t) - v) x q(t) = 0 for a constant point v, cleared of the
+        base denominator: (N - D v) x q = 0.  For a non-cylindrical
+        direction the vertex is unique when it exists.
         """
-        pairs = ((1, 2), (2, 0), (0, 1))
-        rows, rhs = [], []
-        for i, j in pairs:
-            lhs = self.p[i] * self.q[j] - self.p[j] * self.q[i]
-            if not lhs.is_polynomial():
-                return None
-            lhs_poly = lhs.as_unipoly()
-            # v_i * q_j - v_j * q_i = lhs, coefficient by coefficient
-            deg = max(lhs_poly.degree(), self.q[i].degree(), self.q[j].degree())
-            for k in range(deg + 1):
-                coeff_row = [Fraction(0)] * 3
-                coeff_row[i] = self.q[j].coeff(k)
-                coeff_row[j] = -self.q[i].coeff(k)
-                rows.append(coeff_row)
-                rhs.append(lhs_poly.coeff(k))
-        solved = gauss_solve(rows, rhs)
+        solved = solve_cross_constant(self.base_nums, -self.base_den, self.q)
         if solved is None:
             return None
         particular, _ = solved

@@ -106,7 +106,7 @@ def test_refine_rejects_a_rational_midpoint_root_under_optimization():
         "forged = Alg._make(UniPoly([-1, 1]) * UniPoly([-2, 0, 1]),\n"
         "                   Fraction(0), Fraction(2))\n"
         "try:\n"
-        "    forged.refine()\n"
+        "    forged.field.refine()\n"
         "except PreconditionViolation:\n"
         "    print('raised')\n"
     )

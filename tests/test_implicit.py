@@ -7,7 +7,6 @@ from ruledsym.algnum import alg_sqrt, sign
 from ruledsym.errors import HeuristicFailure, PreconditionViolation, ZeroInput
 from ruledsym.implicit import (
     ImplicitSurface,
-    compose_coordinates,
     detect_revolution_axis,
     highest_form,
     implicit_pipeline,
@@ -126,12 +125,6 @@ def test_parametrize_sphere_fails():
     assert parametrize_highest_form(mp("x^2 + y^2 + z^2")) is None
     with pytest.raises(HeuristicFailure):
         implicit_pipeline(implicit("x^2 + y^2 + z^2 + x"))
-
-
-def test_compose_coordinates_simultaneous():
-    F = mp("x^2 + y")
-    out = compose_coordinates(F, {"x": mp("x + y"), "y": mp("x")})
-    assert out == mp("(x + y)^2 + x")
 
 
 def test_example_pipeline_report():

@@ -16,10 +16,11 @@ from ruledsym.isometry import (
     symmetries,
     verify_symmetry,
 )
+from ruledsym.linalg import mat_inv3, mat_mul, mat_vec
 from ruledsym.parser import parse_ratfunc
 from ruledsym.phisys import build_systems
 from ruledsym.solver import solve_parameter_maps
-from ruledsym.surface import surface_from_json
+from ruledsym.surface import RuledSurface, surface_from_json
 from ruledsym.upoly import UniPoly
 
 from conftest import SURFACE_JSON, is_identity_map, same_map
@@ -427,6 +428,45 @@ def _check_reparametrization(corpus, name, image):
     moved = surface_from_json(
         _reparametrized(name, _REPARAMETRIZATIONS[image]))
     want = symmetries(corpus[name])
+    got = symmetries(moved)
+    assert len(got) == len(want)
+    for f in want:
+        assert any(f.same_motion(g) for g in got), (f.Q, f.b)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a rigid motion of the surface conjugates its symmetries
+
+
+def _cayley(a, b, c):
+    """The rational rotation (I - S)(I + S)^-1 of the skew matrix of (a, b, c)."""
+    skew = ((0, -c, b), (c, 0, -a), (-b, a, 0))
+    shifted = [tuple(tuple(Fraction(i == j) + sgn * skew[i][j]
+                           for j in range(3)) for i in range(3))
+               for sgn in (-1, 1)]
+    return mat_mul(shifted[0], mat_inv3(shifted[1]))
+
+
+_ROTATION = _cayley(1, 2, 0)
+_SHIFT = (Fraction(1), Fraction(-2), Fraction(1, 2))
+
+
+# linear_q takes the degree-one candidates, x5 the conical fast path and
+# x4 the parameter-map solver; all three share the one motion loop
+@pytest.mark.parametrize("name", ["linear_q", "x5", "x4"])
+def test_rigid_motion_conjugates_the_symmetries(corpus, name):
+    surface, r, v = corpus[name], _ROTATION, _SHIFT
+    moved = RuledSurface(
+        [sum((r[i][j] * surface.p[j] for j in range(3)), v[i])
+         for i in range(3)],
+        [sum(r[i][j] * surface.q[j] for j in range(3)) for i in range(3)])
+    rt = tuple(zip(*r))
+    want = []
+    for f in symmetries(surface):
+        q = mat_mul(mat_mul(r, f.Q), rt)
+        b = tuple(x + y - z for x, y, z in
+                  zip(mat_vec(r, f.b), v, mat_vec(q, v)))
+        want.append(Isometry(q, b, None, None))
     got = symmetries(moved)
     assert len(got) == len(want)
     for f in want:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from ruledsym import linalg
 from ruledsym.linalg import (
     cross,
     det3,
@@ -8,8 +9,10 @@ from ruledsym.linalg import (
     identity3,
     mat_mul,
     mat_vec,
+    solve_cross_constant,
     trace,
 )
+from ruledsym.upoly import UniPoly
 
 F = Fraction
 
@@ -54,3 +57,43 @@ def test_gauss_needs_row_swap():
     rows = [[F(0), F(1)], [F(1), F(0)]]
     sol, kernel = gauss_solve(rows, [F(7), F(9)])
     assert sol == [9, 7] and kernel == []
+
+
+# ---- (a + w x) x h = 0 for a constant vector x ----
+
+T = UniPoly([0, 1])
+
+
+def test_cross_constant_unique():
+    # a = s h - w x0 with a twisted-cubic h: x0 is the only solution
+    h = (UniPoly([1]), T, T * T)
+    w = T + 2
+    x0 = (F(1), F(-2), F(1, 3))
+    a = tuple((T + 1) * hi - w * xi for hi, xi in zip(h, x0))
+    sol, kernel = solve_cross_constant(a, w, h)
+    assert tuple(sol) == x0
+    assert kernel == []
+
+
+def test_cross_constant_zero_row_rejects_before_elimination(monkeypatch):
+    # pair (0, 1) has constant t^3 where both coefficients vanish at t^3
+    def unreachable(rows, rhs):
+        raise AssertionError("gauss_solve reached")
+
+    monkeypatch.setattr(linalg, "gauss_solve", unreachable)
+    h = (UniPoly([1]), T, UniPoly())
+    a = (T * T, UniPoly(), UniPoly())
+    assert solve_cross_constant(a, UniPoly([1]), h) is None
+
+
+def test_cross_constant_kernel_on_a_constant_direction():
+    # every multiple of a constant h solves x x h = 0, as on a cylinder
+    h = (UniPoly([1]), UniPoly([2]), UniPoly([3]))
+    zero = UniPoly()
+    sol, kernel = solve_cross_constant((zero, zero, zero), UniPoly([1]), h)
+    assert sol == [0, 0, 0]
+    assert len(kernel) == 1
+    assert cross(kernel[0], (1, 2, 3)) == (0, 0, 0)
+    # with w = 0 every coefficient row vanishes and any x solves it
+    sol, kernel = solve_cross_constant((zero, zero, zero), zero, h)
+    assert sol == [0, 0, 0] and len(kernel) == 3

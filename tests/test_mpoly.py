@@ -20,6 +20,17 @@ def test_arithmetic_and_substitution():
     assert t ** 3 == t * t * t
 
 
+def test_eval_substitutes_polynomials_simultaneously():
+    xyz = ("x", "y", "z")
+    x, y = MultiPoly.var(xyz, "x"), MultiPoly.var(xyz, "y")
+    F = x * x + y
+    out = F.eval({"x": x + y, "y": x})
+    assert out == (x + y) ** 2 + x
+    # a zero form substitutes to the zero polynomial, not to a number
+    zero = MultiPoly(xyz).eval({"x": x + y, "y": x, "z": y})
+    assert isinstance(zero, MultiPoly) and zero.is_zero()
+
+
 def test_univar_views_round_trip():
     t = MultiPoly.var(V3, "t")
     a = MultiPoly.var(V3, "a")

@@ -104,6 +104,33 @@ def test_one_groebner_call_site():
     assert calls["solver.py"], calls
 
 
+def _calls_to(path, names):
+    """(name, line) of every call of a function in names, bare or as an
+    attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in names:
+                found.append((name, node.lineno))
+    return found
+
+
+def test_one_motion_loop():
+    # every parameter-map candidate becomes a motion in one loop: the
+    # orthogonal part, the ruling shift and the certificate each have one
+    # call site in the library
+    names = ("solve_q_matrices", "recover_ruling_shift", "verify_symmetry")
+    calls = {name: [] for name in names}
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, line in _calls_to(path, names):
+            calls[name].append("%s:%d" % (path.name, line))
+    assert {name: len(sites) for name, sites in calls.items()} == \
+        dict.fromkeys(names, 1), calls
+
+
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_assert_statements(path):
